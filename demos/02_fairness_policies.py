@@ -6,10 +6,10 @@ and Gini coefficient of each allocation.
 """
 import numpy as np
 
-from fairhc.formulation import FairnessPolicy, References, build_problem, policy_string
+from fairhc.formulation import FairnessPolicy, build_problem, policy_string
 from fairhc.kpi import gini, price_of_fairness
 from fairhc.netmodel import to_per_unit
-from fairhc.solver import SolverOptions, solve_hc
+from fairhc.solver import SolverOptions, solve_hc, solve_references
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 
@@ -19,10 +19,7 @@ def main():
     nf = to_per_unit(generate_feeder(spec))
     options = SolverOptions()
 
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
-    refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
-                      uti_allocation=uti.allocation / nf.s_base)
+    refs, uti, _ = solve_references(nf, options)
 
     policies = [
         FairnessPolicy.utilitarian(),

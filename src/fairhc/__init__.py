@@ -44,5 +44,6 @@ from .solver import (
     solve_egalitarian_bisection,
     solve_hc,
     solve_nlp_al,
+    solve_references,
 )
 from .synth import Conductor, SynthSpec, TopologyReport, generate_feeder, topology_experiment

@@ -38,7 +38,7 @@ from .kpi import gini
 from .netmodel import feeder_stats, parse_feeder, serialize_feeder, to_per_unit
 from .pareto import frontier_to_csv, knee_point, points_from_csv, sweep
 from .powerflow import constraint_residuals, solve_power_flow
-from .solver import SolverOptions, brute_force_oracle, solve_hc
+from .solver import SolverOptions, brute_force_oracle, solve_hc, solve_references
 from .synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
 log = logging.getLogger("fairhc")
@@ -117,7 +117,7 @@ def _read_feeder(path: str) -> tuple[str, "Feeder"]:
 
 def _solver_options(args) -> SolverOptions:
     opts = SolverOptions()
-    for name in ("tol", "max_outer", "starts", "seed", "grid_steps"):
+    for name in ("tol", "max_outer", "starts", "grid_steps"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(opts, name, value)
@@ -191,13 +191,7 @@ def _cmd_solve(args) -> int:
     nf = to_per_unit(feeder)
     policy = parse_policy(args.policy)
     options = _solver_options(args)
-    refs = None
-    if policy.variant == "bounded":
-        from .formulation import FairnessPolicy, References
-        uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-        egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
-        refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
-                          uti_allocation=uti.allocation / nf.s_base)
+    refs = solve_references(nf, options)[0] if policy.variant == "bounded" else None
     problem = build_problem(nf, policy, refs)
     if args.oracle:
         sol = brute_force_oracle(problem, options=options)
@@ -267,7 +261,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="constraint tolerance, pu")
     p.add_argument("--max-outer", dest="max_outer", type=int, default=None)
     p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid-steps", dest="grid_steps", type=int, default=None)
 
 

@@ -98,7 +98,6 @@ class HCProblem:
     upper: np.ndarray  # (D,) pu
     tie: bool  # all allocations forced equal
     reference_egal: float | None = None
-    reference_uti: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.lower < -1e-12) or np.any(self.lower > self.upper + 1e-12):
@@ -108,39 +107,31 @@ class HCProblem:
     def n_loads(self) -> int:
         return self.feeder.n_loads
 
-    def objective(self, p: np.ndarray) -> float:
-        """Value to maximize at allocation ``p`` (pu)."""
-        if self.policy.variant == "bargaining":
+    def objective(self, p: np.ndarray) -> float | np.ndarray:
+        """Value to maximize at allocation ``p`` (pu), loads on the last axis.
+
+        A 1-D allocation gives a float; a stack of allocations gives one value each.
+        """
+        value = p.sum(axis=-1)
+        if self.policy.variant == "bargaining" and p.shape[-1]:
             k = self.policy.k
-            disparity = float(np.max(np.abs(p - p.mean()))) if len(p) else 0.0
-            return k * float(p.sum()) - (1.0 - k) * disparity
-        return float(p.sum())
+            disparity = np.max(np.abs(p - p.mean(axis=-1, keepdims=True)), axis=-1)
+            value = k * value - (1.0 - k) * disparity
+        return float(value) if p.ndim == 1 else value
 
 
 def build_problem(nf: NormalizedFeeder, policy: FairnessPolicy,
                   refs: References | None = None) -> HCProblem:
     """Instantiate the per-policy box/objective over the feeder's load buses."""
     n = nf.n_loads
-    cap = nf.dg_cap
-    zeros = np.zeros(n)
-    caps = np.full(n, cap)
-    ref_egal = refs.egal_per_load if refs is not None else None
-    ref_uti = np.asarray(refs.uti_allocation, dtype=float) if refs is not None else None
-    if policy.variant == "utilitarian":
-        return HCProblem(nf, policy, zeros, caps, tie=False,
-                         reference_egal=ref_egal, reference_uti=ref_uti)
-    if policy.variant == "egalitarian":
-        return HCProblem(nf, policy, zeros, caps, tie=True,
-                         reference_egal=ref_egal, reference_uti=ref_uti)
-    if policy.variant == "bargaining":
-        return HCProblem(nf, policy, zeros, caps, tie=False,
-                         reference_egal=ref_egal, reference_uti=ref_uti)
-    # bounded
+    if policy.variant != "bounded":
+        return HCProblem(nf, policy, np.zeros(n), np.full(n, nf.dg_cap),
+                         tie=policy.variant == "egalitarian",
+                         reference_egal=refs.egal_per_load if refs is not None else None)
     if refs is None:
         raise MissingReference("bounded policy needs egalitarian and utilitarian references")
     p_egal = refs.egal_per_load
     span = float(np.max(refs.uti_allocation)) - p_egal
     lower = np.full(n, policy.alpha * p_egal)
     upper = np.full(n, p_egal + policy.beta * max(span, 0.0))
-    return HCProblem(nf, policy, lower, upper, tie=False,
-                     reference_egal=p_egal, reference_uti=ref_uti)
+    return HCProblem(nf, policy, lower, upper, tie=False, reference_egal=p_egal)

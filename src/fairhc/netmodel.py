@@ -10,6 +10,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +239,13 @@ class NormalizedFeeder:
     @property
     def n_loads(self) -> int:
         return len(self.load_bus)
+
+    @cached_property
+    def plan(self):
+        """Index plan of the power-flow equations (:class:`fairhc.powerflow.FeederPlan`)."""
+        from .powerflow import build_plan
+
+        return build_plan(self)
 
 
 def z_base_ohm(s_base_kva: float, v_base_v: float) -> float:

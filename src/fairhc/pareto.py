@@ -19,7 +19,7 @@ from .errors import DegenerateFrontier, FairHCError, Infeasible
 from .formulation import FairnessPolicy, References, build_problem
 from .kpi import gini, price_of_fairness
 from .netmodel import Feeder, NormalizedFeeder, to_per_unit
-from .solver import HCSolution, SolverOptions, solve_hc
+from .solver import HCSolution, SolverOptions, solve_hc, solve_references
 
 FAMILIES = ("bounded_lower", "bounded_upper", "bargaining")
 
@@ -88,14 +88,7 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21,
         raise ValueError(f"unknown sweep family {family!r}")
     options = options or SolverOptions()
     nf = to_per_unit(feeder) if isinstance(feeder, Feeder) else feeder
-    sb = nf.s_base
-
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
-    refs = References(
-        egal_per_load=float(egal.allocation[0]) / sb,
-        uti_allocation=uti.allocation / sb,
-    )
+    refs, uti, egal = solve_references(nf, options)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         points = [

@@ -1,12 +1,17 @@
 """Polar Newton-Raphson AC power flow for radial feeders, plus operational-limit
 residuals and adjoint sensitivities of those residuals w.r.t. DG injections.
 
-The Newton core is batched: a stack of injection vectors is solved simultaneously
-with vectorized Jacobian assembly.  The public single-shot API wraps batch size 1.
+Each feeder compiles once into a :class:`FeederPlan` (cached as ``nf.plan``):
+every line appears as two oriented flows, one measured at each end, and the
+plan's index arrays scatter those flows into the nodal sums and the Jacobian.
+Newton and the adjoint share the flow partials and the Jacobian builder.  The
+Newton core is batched: a stack of injection vectors is solved simultaneously
+with a dense batched linear solve.  The public single-shot API wraps batch size 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,129 +82,140 @@ def residual_labels(nf: NormalizedFeeder) -> list[str]:
 #   Q_mn = -b Vm^2 + Vm Vn (b cos(t) - g sin(t))
 # ---------------------------------------------------------------------------
 
-def _flows(vm, vn, t, g, b):
-    c, s = np.cos(t), np.sin(t)
-    p = g * vm**2 - vm * vn * (g * c + b * s)
-    q = -b * vm**2 + vm * vn * (b * c - g * s)
-    return p, q
+class FeederPlan(NamedTuple):
+    """Index arrays of a feeder's power-flow equations, built once per feeder.
+
+    The state is ``(theta[ns], v[ns])`` and the mismatch rows are
+    ``(P[ns], Q[ns])``.  Oriented flow ``k < L`` is line ``k`` measured at its
+    from-bus; flow ``L + k`` is the same line measured at its to-bus, so the
+    reverse of flow ``k`` is flow ``(k + L) % 2L``.
+    """
+
+    ns: np.ndarray  # (m,) non-slack buses in state order
+    pos: np.ndarray  # (n,) state position of each bus, -1 at the slack
+    at: np.ndarray  # (2L,) bus where each oriented flow is measured
+    other: np.ndarray  # (2L,) bus at the far end
+    g: np.ndarray  # (2L,)
+    b: np.ndarray  # (2L,)
+    inc: np.ndarray  # (2L, n) 0/1; ``flows @ inc`` sums the flows into their measuring bus
+    off: np.ndarray  # (K,) oriented flows with both ends non-slack
+    jac_src: np.ndarray  # (2m, 2m) column of :func:`_jacobian`'s per-point values each entry reads
 
 
-def _flow_partials(vm, vn, t, g, b):
-    """Partials of (P_mn, Q_mn) w.r.t. (theta_m, theta_n, Vm, Vn)."""
-    c, s = np.cos(t), np.sin(t)
+def build_plan(nf: NormalizedFeeder) -> FeederPlan:
+    """Plan of ``nf``; read it through the cached ``nf.plan``.
+
+    Assumes a tree: no two lines join the same pair of buses, so each
+    off-diagonal Jacobian entry comes from exactly one oriented flow.
+    """
+    n, L = nf.n_bus, nf.n_line
+    ns = np.flatnonzero(np.arange(n) != nf.slack)
+    m = len(ns)
+    pos = np.full(n, -1)
+    pos[ns] = np.arange(m)
+    at = np.concatenate([nf.from_bus, nf.to_bus])
+    other = np.concatenate([nf.to_bus, nf.from_bus])
+    inc = np.zeros((2 * L, n))
+    inc[np.arange(2 * L), at] = 1.0
+    off = np.flatnonzero((pos[at] >= 0) & (pos[other] >= 0))
+    # _jacobian lays its values out as (block, 1 + m + K) for the blocks P-theta,
+    # P-V, Q-theta, Q-V: a zero, the diagonal (per-bus sums), one entry per flow in `off`
+    rows = np.concatenate([np.arange(m), pos[at[off]]]) + np.array([[0], [0], [m], [m]])
+    cols = np.concatenate([np.arange(m), pos[other[off]]]) + np.array([[0], [m], [0], [m]])
+    jac_src = np.zeros((2 * m, 2 * m), dtype=int)  # structural zeros read column 0
+    jac_src[rows, cols] = np.arange(4 * (1 + m + len(off))).reshape(4, -1)[:, 1:]
+    return FeederPlan(ns, pos, at, other, np.tile(nf.g, 2), np.tile(nf.b, 2), inc, off, jac_src)
+
+
+def _ends(plan: FeederPlan, v, theta):
+    """(Vm, Vn, cos t, sin t) of every oriented flow."""
+    t = theta[..., plan.at] - theta[..., plan.other]
+    return v[..., plan.at], v[..., plan.other], np.cos(t), np.sin(t)
+
+
+def _flows(plan: FeederPlan, v, theta):
+    """(2, ..., 2L): P and Q of every oriented flow."""
+    vm, vn, c, s = _ends(plan, v, theta)
+    g, b = plan.g, plan.b
+    return np.array([g * vm**2 - vm * vn * (g * c + b * s), -b * vm**2 + vm * vn * (b * c - g * s)])
+
+
+def _flow_partials(plan: FeederPlan, v, theta):
+    """(4, 2, ..., 2L): d/dtheta P, d/dV P, d/dtheta Q, d/dV Q of every oriented
+    flow, each w.r.t. the measuring end (column 0) and the far end (column 1)."""
+    vm, vn, c, s = _ends(plan, v, theta)
+    g, b = plan.g, plan.b
     dp_dtm = vm * vn * (g * s - b * c)
-    dp_dvm = 2.0 * g * vm - vn * (g * c + b * s)
-    dp_dvn = -vm * (g * c + b * s)
     dq_dtm = -vm * vn * (b * s + g * c)
-    dq_dvm = -2.0 * b * vm + vn * (b * c - g * s)
-    dq_dvn = vm * (b * c - g * s)
-    return dp_dtm, -dp_dtm, dp_dvm, dp_dvn, dq_dtm, -dq_dtm, dq_dvm, dq_dvn
+    return np.array([
+        [dp_dtm, -dp_dtm],
+        [2.0 * g * vm - vn * (g * c + b * s), -vm * (g * c + b * s)],
+        [dq_dtm, -dq_dtm],
+        [-2.0 * b * vm + vn * (b * c - g * s), vm * (b * c - g * s)],
+    ])
 
 
-class _BatchResult:
+def _jacobian(plan: FeederPlan, d):
+    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the
+    (4, 2, B, 2L) flow partials of B states."""
+    diag = d[:, 0] @ plan.inc[:, plan.ns]  # measuring-end partials summed per bus
+    off = d[:, 1][..., plan.off]  # far-end partials, one per off-diagonal entry
+    vals = np.zeros((d.shape[2], 4, 1 + diag.shape[-1] + off.shape[-1]))
+    vals[..., 1:] = np.moveaxis(np.concatenate([diag, off], axis=-1), 0, 1)
+    return np.take(vals.reshape(d.shape[2], -1), plan.jac_src, axis=1)
+
+
+class _BatchResult(NamedTuple):
     """Raw arrays from a batched Newton solve (shapes lead with batch size)."""
 
-    __slots__ = ("v", "theta", "p_f", "q_f", "p_r", "q_r", "p_slack", "q_slack",
-                 "converged", "mismatch", "iterations", "singular")
-
-    def __init__(self, **kw):
-        for k, val in kw.items():
-            setattr(self, k, val)
-
-
-def _injections(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray):
-    B = dg.shape[0]
-    p_inj = np.zeros((B, nf.n_bus))
-    q_inj = np.zeros((B, nf.n_bus))
-    p_inj[:, nf.load_bus] = dg - nf.p_demand[None, :]
-    q_inj[:, nf.load_bus] = dg_q - nf.q_demand[None, :]
-    return p_inj, q_inj
-
-
-def _nodal_power(nf: NormalizedFeeder, v, theta):
-    """Bus injections implied by (v, theta), plus both branch flow directions."""
-    B = v.shape[0]
-    fb, tb = nf.from_bus, nf.to_bus
-    t = theta[:, fb] - theta[:, tb]
-    p_f, q_f = _flows(v[:, fb], v[:, tb], t, nf.g[None, :], nf.b[None, :])
-    p_r, q_r = _flows(v[:, tb], v[:, fb], -t, nf.g[None, :], nf.b[None, :])
-    p_calc = np.zeros((B, nf.n_bus))
-    q_calc = np.zeros((B, nf.n_bus))
-    for l in range(nf.n_line):
-        p_calc[:, fb[l]] += p_f[:, l]
-        q_calc[:, fb[l]] += q_f[:, l]
-        p_calc[:, tb[l]] += p_r[:, l]
-        q_calc[:, tb[l]] += q_r[:, l]
-    return p_calc, q_calc, p_f, q_f, p_r, q_r
-
-
-def _assemble_jacobian(nf: NormalizedFeeder, v, theta, pos, m):
-    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations."""
-    B = v.shape[0]
-    J = np.zeros((B, 2 * m, 2 * m))
-    fb, tb = nf.from_bus, nf.to_bus
-    for l in range(nf.n_line):
-        a, c = int(fb[l]), int(tb[l])
-        g, b = nf.g[l], nf.b[l]
-        for eq, other, sign in ((a, c, 1.0), (c, a, -1.0)):
-            # flow measured at `eq` toward `other`; contributes to eq's balance
-            t = sign * (theta[:, a] - theta[:, c])
-            parts = _flow_partials(v[:, eq], v[:, other], t, g, b)
-            dp_dte, dp_dto, dp_dve, dp_dvo, dq_dte, dq_dto, dq_dve, dq_dvo = parts
-            pe = pos[eq]
-            if pe >= 0:
-                rp, rq = pe, m + pe
-                J[:, rp, pe] += dp_dte
-                J[:, rp, m + pe] += dp_dve
-                J[:, rq, pe] += dq_dte
-                J[:, rq, m + pe] += dq_dve
-                po = pos[other]
-                if po >= 0:
-                    J[:, rp, po] += dp_dto
-                    J[:, rp, m + po] += dp_dvo
-                    J[:, rq, po] += dq_dto
-                    J[:, rq, m + po] += dq_dvo
-    return J
+    v: np.ndarray
+    theta: np.ndarray
+    p_flow: np.ndarray
+    q_flow: np.ndarray
+    p_flow_rev: np.ndarray
+    q_flow_rev: np.ndarray
+    p_slack: np.ndarray
+    q_slack: np.ndarray
+    converged: np.ndarray
+    mismatch: np.ndarray
+    iterations: np.ndarray
+    singular: np.ndarray
 
 
 def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
                  tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> _BatchResult:
-    B = dg.shape[0]
-    n = nf.n_bus
-    ns = np.array([i for i in range(n) if i != nf.slack], dtype=int)
-    m = n - 1
-    pos = np.full(n, -1, dtype=int)
-    pos[ns] = np.arange(m)
-    p_inj, q_inj = _injections(nf, dg, dg_q)
+    plan = nf.plan
+    ns = plan.ns
+    B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
+    p_inj, q_inj = np.zeros((2, B, n))
+    p_inj[:, nf.load_bus] = dg - nf.p_demand
+    q_inj[:, nf.load_bus] = dg_q - nf.q_demand
+    inj = np.concatenate([p_inj[:, ns], q_inj[:, ns]], axis=1)
 
     v = np.ones((B, n))
     theta = np.zeros((B, n))
     converged = np.zeros(B, dtype=bool)
-    failed = np.zeros(B, dtype=bool)
     singular = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     mismatch = np.full(B, np.inf)
 
-    idx = np.arange(B)  # active (undecided) points; converged/failed drop out
+    idx = np.arange(B)  # active (undecided) points; converged, diverged and singular ones drop out
     with np.errstate(all="ignore"):
         for it in range(max_iter + 1):
-            p_calc, q_calc, *_ = _nodal_power(nf, v[idx], theta[idx])
-            F = np.concatenate(
-                [p_calc[:, ns] - p_inj[idx][:, ns], q_calc[:, ns] - q_inj[idx][:, ns]], axis=1
-            )
+            p_calc, q_calc = _flows(plan, v[idx], theta[idx]) @ plan.inc
+            F = np.concatenate([p_calc[:, ns], q_calc[:, ns]], axis=1) - inj[idx]
             bad = ~np.isfinite(F).all(axis=1) | (v[idx][:, ns].min(axis=1) < _V_FLOOR)
             mis = np.abs(np.where(np.isfinite(F), F, np.inf)).max(axis=1) if m > 0 else np.zeros(len(idx))
             conv = ~bad & (mis < tol)
             iterations[idx[conv]] = it
             converged[idx[conv]] = True
-            failed[idx[bad]] = True
             mismatch[idx] = np.where(bad, np.inf, mis)
             keep = ~conv & ~bad
             idx = idx[keep]
             if len(idx) == 0 or it == max_iter:
                 break
             F = F[keep]
-            J = _assemble_jacobian(nf, v[idx], theta[idx], pos, m)
+            J = _jacobian(plan, _flow_partials(plan, v[idx], theta[idx]))
             try:
                 dx = np.linalg.solve(J, -F[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -211,15 +227,16 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
                     except np.linalg.LinAlgError:
                         sing_local[i] = True
                 singular[idx[sing_local]] = True
-                failed[idx[sing_local]] = True
             theta[idx[:, None], ns[None, :]] += dx[:, :m]
             v[idx[:, None], ns[None, :]] += dx[:, m:]
+            idx = idx[~singular[idx]]
 
-        p_calc, q_calc, p_f, q_f, p_r, q_r = _nodal_power(nf, v, theta)
+        pq = _flows(plan, v, theta)
+        p_slack, q_slack = (pq @ plan.inc)[..., nf.slack]
+    p, q = pq
     return _BatchResult(
-        v=v, theta=theta, p_f=p_f, q_f=q_f, p_r=p_r, q_r=q_r,
-        p_slack=p_calc[:, nf.slack], q_slack=q_calc[:, nf.slack],
-        converged=converged, mismatch=mismatch, iterations=iterations, singular=singular,
+        v, theta, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
+        p_slack, q_slack, converged, mismatch, iterations, singular,
     )
 
 
@@ -250,8 +267,8 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray | No
         )
     return PowerFlowState(
         v=res.v[0], theta=res.theta[0],
-        p_flow=res.p_f[0], q_flow=res.q_f[0],
-        p_flow_rev=res.p_r[0], q_flow_rev=res.q_r[0],
+        p_flow=res.p_flow[0], q_flow=res.q_flow[0],
+        p_flow_rev=res.p_flow_rev[0], q_flow_rev=res.q_flow_rev[0],
         p_slack=float(res.p_slack[0]), q_slack=float(res.q_slack[0]),
         iterations=int(res.iterations[0]), max_mismatch=float(res.mismatch[0]),
     )
@@ -261,31 +278,27 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray | No
 # Constraint residuals
 # ---------------------------------------------------------------------------
 
-def _residual_blocks(nf: NormalizedFeeder, v, theta, p_f, q_f, p_r, q_r, p_slack, q_slack):
-    """Batched residual components (each leading dim = batch)."""
+def _residual_blocks(nf: NormalizedFeeder, s):
+    """Residual components of a :class:`PowerFlowState` or a :class:`_BatchResult`;
+    a batch adds its leading axis to every block."""
     fb, tb = nf.from_bus, nf.to_bus
-    s2 = nf.s_rated[None, :] ** 2
-    v_upper = nf.v_max[None, :] - v
-    v_lower = v - nf.v_min[None, :]
-    th_f = s2 - (p_f**2 + q_f**2)
-    th_r = s2 - (p_r**2 + q_r**2)
-    sp = np.stack([nf.slack_p_max - p_slack, p_slack + nf.slack_p_max], axis=1)
-    sq = np.stack([nf.slack_q_max - q_slack, q_slack + nf.slack_q_max], axis=1)
-    dth = theta[:, fb] - theta[:, tb]
-    ang_u = nf.dtheta_max[fb][None, :] - dth
-    ang_l = dth - nf.dtheta_min[fb][None, :]
-    return v_upper, v_lower, th_f, th_r, sp, sq, ang_u, ang_l
+    s2 = nf.s_rated**2
+    dth = s.theta[..., fb] - s.theta[..., tb]
+    return (
+        nf.v_max - s.v,
+        s.v - nf.v_min,
+        s2 - (s.p_flow**2 + s.q_flow**2),
+        s2 - (s.p_flow_rev**2 + s.q_flow_rev**2),
+        np.stack([nf.slack_p_max - s.p_slack, s.p_slack + nf.slack_p_max], axis=-1),
+        np.stack([nf.slack_q_max - s.q_slack, s.q_slack + nf.slack_q_max], axis=-1),
+        nf.dtheta_max[fb] - dth,
+        dth - nf.dtheta_min[fb],
+    )
 
 
 def constraint_residuals(state: PowerFlowState, nf: NormalizedFeeder) -> ConstraintResiduals:
     """Margins of Ohm/Kirchhoff-feasible state against every operational limit."""
-    blocks = _residual_blocks(
-        nf, state.v[None, :], state.theta[None, :],
-        state.p_flow[None, :], state.q_flow[None, :],
-        state.p_flow_rev[None, :], state.q_flow_rev[None, :],
-        np.array([state.p_slack]), np.array([state.q_slack]),
-    )
-    v_upper, v_lower, th_f, th_r, sp, sq, ang_u, ang_l = (blk[0] for blk in blocks)
+    v_upper, v_lower, th_f, th_r, sp, sq, ang_u, ang_l = _residual_blocks(nf, state)
     return ConstraintResiduals(
         v_upper=v_upper,
         v_lower=v_lower,
@@ -298,9 +311,7 @@ def constraint_residuals(state: PowerFlowState, nf: NormalizedFeeder) -> Constra
 
 def residual_min_batch(nf: NormalizedFeeder, res: _BatchResult) -> np.ndarray:
     """Per-point minimum residual for a batched solve (used by the grid oracle)."""
-    blocks = _residual_blocks(nf, res.v, res.theta, res.p_f, res.q_f, res.p_r, res.q_r,
-                              res.p_slack, res.q_slack)
-    return np.min([blk.min(axis=1) for blk in blocks], axis=0)
+    return np.min([blk.min(axis=-1) for blk in _residual_blocks(nf, res)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,85 +330,30 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     dg = np.asarray(dg, dtype=float)
     if state is None:
         state = solve_power_flow(nf, dg, dg_q, tol=tol)
-    n, L, m = nf.n_bus, nf.n_line, nf.n_bus - 1
+    n, L = nf.n_bus, nf.n_line
     weights = np.asarray(weights, dtype=float)
     expected = 2 * n + 4 * L + 4
     if weights.shape != (expected,):
         raise ValueError(f"weights must have shape ({expected},)")
-    w_vu, weights = weights[:n], weights[n:]
-    w_vl, weights = weights[:n], weights[n:]
-    w_thf, weights = weights[:L], weights[L:]
-    w_thr, weights = weights[:L], weights[L:]
-    w_sp, weights = weights[:2], weights[2:]
-    w_sq, weights = weights[:2], weights[2:]
-    w_au, w_al = weights[:L], weights[L:]
+    w_vu, w_vl, w_th, w_s, w_au, w_al = np.split(weights, np.cumsum([n, n, 2 * L, 4, L]))
+    w_ps, w_qs = w_s[1] - w_s[0], w_s[3] - w_s[2]
+    plan = nf.plan
 
-    ns = np.array([i for i in range(n) if i != nf.slack], dtype=int)
-    pos = np.full(n, -1, dtype=int)
-    pos[ns] = np.arange(m)
-    v, theta = state.v, state.theta
-    rhs = np.zeros(2 * m)
-
-    def add(col, val):
-        if col >= 0:
-            rhs[col] += val
-
-    for i in range(n):
-        p = pos[i]
-        if p >= 0:
-            rhs[m + p] += -w_vu[i] + w_vl[i]
-
-    fb, tb = nf.from_bus, nf.to_bus
-    for l in range(L):
-        a, c = int(fb[l]), int(tb[l])
-        g, b = nf.g[l], nf.b[l]
-        for eq, other, wt, pflow, qflow in (
-            (a, c, w_thf[l], state.p_flow[l], state.q_flow[l]),
-            (c, a, w_thr[l], state.p_flow_rev[l], state.q_flow_rev[l]),
-        ):
-            if wt == 0.0:
-                continue
-            t = theta[eq] - theta[other]
-            dp_dte, dp_dto, dp_dve, dp_dvo, dq_dte, dq_dto, dq_dve, dq_dvo = _flow_partials(
-                v[eq], v[other], t, g, b
-            )
-            # thermal residual = s^2 - (P^2 + Q^2)
-            cf = -2.0 * pflow * wt
-            cq = -2.0 * qflow * wt
-            pe, po = pos[eq], pos[other]
-            add(pe, cf * dp_dte + cq * dq_dte)
-            add(m + pe if pe >= 0 else -1, cf * dp_dve + cq * dq_dve)
-            add(po, cf * dp_dto + cq * dq_dto)
-            add(m + po if po >= 0 else -1, cf * dp_dvo + cq * dq_dvo)
-        # angle margins: upper = dtheta_max - (theta_a - theta_c)
-        w_ang = -w_au[l] + w_al[l]
-        if w_ang != 0.0:
-            add(pos[a], w_ang)
-            add(pos[c], -w_ang)
-
-    # slack exchange: p_slack = sum of flows measured at the slack end
-    w_ps = -w_sp[0] + w_sp[1]
-    w_qs = -w_sq[0] + w_sq[1]
-    if w_ps != 0.0 or w_qs != 0.0:
-        for l in range(L):
-            a, c = int(fb[l]), int(tb[l])
-            if a == nf.slack:
-                eq, other = a, c
-            elif c == nf.slack:
-                eq, other = c, a
-            else:
-                continue
-            t = theta[eq] - theta[other]
-            dp_dte, dp_dto, dp_dve, dp_dvo, dq_dte, dq_dto, dq_dve, dq_dvo = _flow_partials(
-                v[eq], v[other], t, nf.g[l], nf.b[l]
-            )
-            po = pos[other]
-            add(po, w_ps * dp_dto + w_qs * dq_dto)
-            add(m + po if po >= 0 else -1, w_ps * dp_dvo + w_qs * dq_dvo)
-
-    J = _assemble_jacobian(nf, v[None, :], theta[None, :], pos, m)[0]
+    # weight on each oriented flow's P and Q: thermal s^2 - (P^2 + Q^2), and the
+    # slack exchange, which is the sum of the flows measured at the slack
+    at_slack = plan.at == nf.slack
+    c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
+    c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
+    d = _flow_partials(plan, state.v[None], state.theta[None])
+    J = _jacobian(plan, d)[0]
+    d = c_p * d[:2, :, 0] + c_q * d[2:, :, 0]  # (theta, v) x (measuring end, far end)
+    # the far end of flow k is the measuring end of its reverse, flow k + L
+    per_flow = d[:, 0] + np.roll(d[:, 1], L, axis=-1)
+    per_flow[0] += np.concatenate([w_al - w_au, w_au - w_al])  # angle margins on theta_from - theta_to
+    rhs = per_flow @ plan.inc
+    rhs[1] += w_vl - w_vu
     try:
-        lam = np.linalg.solve(J.T, rhs)
+        lam = np.linalg.solve(J.T, rhs[:, plan.ns].ravel())
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian("adjoint system is singular") from exc
-    return lam[pos[nf.load_bus]]
+    return lam[plan.pos[nf.load_bus]]

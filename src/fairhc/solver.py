@@ -10,6 +10,9 @@ Three routes:
   deterministic 3-point multi-start.
 * ``brute_force_oracle`` -- exhaustive feasibility grid for desk-scale feeders,
   used as an independent verification oracle.
+
+``solve_references`` gives the utilitarian/egalitarian pair that the bounded
+policy and the frontier sweeps start from.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import Infeasible, NonConvergence, SingularJacobian, TooManyLoads
-from .formulation import FairnessPolicy, HCProblem
+from .formulation import FairnessPolicy, HCProblem, References, build_problem
 from .netmodel import NormalizedFeeder
 from .powerflow import (
     _solve_batch,
@@ -31,6 +34,7 @@ from .powerflow import (
 )
 
 FEAS_TOL = 1e-6  # pu; residual >= -FEAS_TOL counts as satisfied
+ORACLE_CHUNK = 1 << 14  # grid points per batched Newton solve; keeps its arrays in cache
 _BINDING_TOL = 1e-5
 _FAIL_PENALTY = 1e6
 
@@ -42,7 +46,6 @@ class SolverOptions:
     max_outer: int = 50
     max_inner: int = 120  # L-BFGS-B iterations per outer pass
     starts: int = 3
-    seed: int = 0  # reserved; all starts are deterministic
     grid_steps: int = 201  # oracle resolution per dimension
     penalty0: float = 10.0
     penalty_growth: float = 10.0
@@ -65,10 +68,10 @@ class HCSolution:
     disparity: float | None = None  # kW, bargaining only
 
 
-def _dg_q(dg: np.ndarray, options: SolverOptions) -> np.ndarray | None:
-    if options.power_factor is None:
-        return None
+def _dg_q(dg: np.ndarray, options: SolverOptions) -> np.ndarray:
     pf = options.power_factor
+    if pf is None:
+        return np.zeros_like(dg)
     return dg * np.sqrt(max(0.0, 1.0 - pf * pf)) / pf
 
 
@@ -434,6 +437,16 @@ def solve_hc(problem: HCProblem, options: SolverOptions | None = None) -> HCSolu
     return solve_nlp_al(problem, options)
 
 
+def solve_references(nf: NormalizedFeeder, options: SolverOptions | None = None
+                     ) -> tuple[References, HCSolution, HCSolution]:
+    """Utilitarian and egalitarian solves, and the :class:`References` the bounded policy needs."""
+    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
+    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
+    refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
+                      uti_allocation=uti.allocation / nf.s_base)
+    return refs, uti, egal
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
@@ -447,33 +460,18 @@ def _grid_points(problem: HCProblem, steps: int) -> np.ndarray:
     return np.stack([mm.ravel() for mm in mesh], axis=1)
 
 
-def _grid_objective(problem: HCProblem):
-    if problem.policy.variant == "bargaining":
-        k = problem.policy.k
-
-        def objective(block):
-            dev = np.max(np.abs(block - block.mean(axis=1, keepdims=True)), axis=1)
-            return k * block.sum(axis=1) - (1.0 - k) * dev
-    else:
-        def objective(block):
-            return block.sum(axis=1)
-    return objective
-
-
 def brute_force_oracle(problem: HCProblem, grid_steps: int | None = None,
-                       options: SolverOptions | None = None,
-                       chunk: int = 1 << 18) -> HCSolution:
+                       options: SolverOptions | None = None) -> HCSolution:
     """Exhaustive grid search over the policy box; feasibility via full power flow.
 
     Independent of the AL route: batched Newton solves plus direct residual
     evaluation, no adjoints and no penalties.
     """
-    return brute_force_oracle_batch([problem], grid_steps, options, chunk)[0]
+    return brute_force_oracle_batch([problem], grid_steps, options)[0]
 
 
 def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None = None,
-                             options: SolverOptions | None = None,
-                             chunk: int = 1 << 18) -> list[HCSolution]:
+                             options: SolverOptions | None = None) -> list[HCSolution]:
     """Grid-search several policies on one feeder.
 
     Policies whose search boxes coincide (e.g. utilitarian and bargaining)
@@ -498,21 +496,16 @@ def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None =
     out: list[HCSolution | None] = [None] * len(problems)
     for members in groups.values():
         pts = _grid_points(problems[members[0]], steps)
-        objectives = [_grid_objective(problems[j]) for j in members]
         best_val = [-np.inf] * len(members)
         best_p: list[np.ndarray | None] = [None] * len(members)
-        for start in range(0, len(pts), chunk):
-            block = pts[start: start + chunk]
-            q_block = np.zeros_like(block)
-            if options.power_factor is not None:
-                pf = options.power_factor
-                q_block = block * np.sqrt(max(0.0, 1.0 - pf * pf)) / pf
-            res = _solve_batch(nf, block, q_block, tol=options.pf_tol)
+        for start in range(0, len(pts), ORACLE_CHUNK):
+            block = pts[start: start + ORACLE_CHUNK]
+            res = _solve_batch(nf, block, _dg_q(block, options), tol=options.pf_tol)
             feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
             if not feas.any():
                 continue
-            for mi, objective in enumerate(objectives):
-                vals = np.where(feas, objective(block), -np.inf)
+            for mi, j in enumerate(members):
+                vals = np.where(feas, problems[j].objective(block), -np.inf)
                 i = int(np.argmax(vals))
                 if vals[i] > best_val[mi]:
                     best_val[mi] = float(vals[i])

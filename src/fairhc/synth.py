@@ -11,10 +11,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ValidationError
-from .formulation import FairnessPolicy, build_problem
 from .kpi import gini, price_of_fairness
 from .netmodel import Bus, Feeder, GridConnection, Line, Load, to_per_unit
-from .solver import HCSolution, SolverOptions, solve_hc
+from .solver import SolverOptions, solve_references
 
 LAYOUTS = ("linear", "branched")
 
@@ -139,8 +138,7 @@ class TopologyReport:
 
 def _evaluate(spec: SynthSpec, options: SolverOptions) -> FeederReport:
     nf = to_per_unit(generate_feeder(spec))
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
+    _, uti, egal = solve_references(nf, options)
     return FeederReport(
         layout=spec.layout,
         hc_uti_kw=uti.hc_total,

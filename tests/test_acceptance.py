@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from fairhc.formulation import FairnessPolicy, References, build_problem
+from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.kpi import gini, price_of_fairness
 from fairhc.netmodel import electrical_distance, to_per_unit
 from fairhc.pareto import sweep
@@ -20,7 +20,7 @@ from fairhc.powerflow import (
     residual_labels,
     solve_power_flow,
 )
-from fairhc.solver import SolverOptions, brute_force_oracle_batch, solve_hc
+from fairhc.solver import SolverOptions, brute_force_oracle_batch, solve_hc, solve_references
 from fairhc.synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
 from conftest import mk, make_br4, make_lin3, make_star3, make_two_bus
@@ -48,14 +48,7 @@ def feeders():
 @pytest.fixture(scope="module")
 def references(feeders):
     """Per-feeder (refs, uti, egal) solved once and shared across criteria."""
-    out = {}
-    for name, nf in feeders.items():
-        uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), OPTS)
-        egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), OPTS)
-        refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
-                          uti_allocation=uti.allocation / nf.s_base)
-        out[name] = (refs, uti, egal)
-    return out
+    return {name: solve_references(nf, OPTS) for name, nf in feeders.items()}
 
 
 def test_criterion_01_pof_formula_consistency():

@@ -9,6 +9,8 @@ from fairhc.netmodel import NormalizedFeeder
 from fairhc.powerflow import (
     ConstraintResiduals,
     PowerFlowState,
+    _flow_partials,
+    _jacobian,
     adjoint_gradient,
     constraint_residuals,
     residual_labels,
@@ -26,6 +28,29 @@ def two_bus_v2(p_net, r=0.05):
     """
     a = 1.0 + 2.0 * r * p_net
     return math.sqrt((a + math.sqrt(a * a - 4.0 * r * r * p_net * p_net)) / 2.0)
+
+
+def random_chain(rng):
+    """Chain of 1-3 loads rooted at bus 0, every line pointing away from the slack."""
+    n_loads = int(rng.integers(1, 4))
+    lines = [(i, i + 1, float(rng.uniform(0.01, 0.08)), float(rng.uniform(0.0, 0.02)))
+             for i in range(n_loads)]
+    return mk(n_loads + 1, 0, lines, list(range(1, n_loads + 1)))
+
+
+def random_tree(rng):
+    """Random radial tree of 3-8 buses: random attachment, the slack at a random
+    index, lines listed and oriented at random, 1-3 loads and the rest junctions."""
+    n = int(rng.integers(3, 9))
+    order = rng.permutation(n)  # order[0] is the slack; each bus attaches to an earlier one
+    lines = []
+    for i in range(1, n):
+        ends = [int(order[rng.integers(0, i)]), int(order[i])]
+        rng.shuffle(ends)
+        lines.append((*ends, float(rng.uniform(0.01, 0.08)), float(rng.uniform(0.0, 0.02))))
+    rng.shuffle(lines)
+    loads = rng.choice(order[1:], size=int(rng.integers(1, min(3, n - 1) + 1)), replace=False)
+    return mk(n, int(order[0]), lines, sorted(loads.tolist()))
 
 
 class TestSolvePowerFlow:
@@ -136,6 +161,44 @@ class TestConstraintResiduals:
         assert res.angle[0] == pytest.approx(res.angle[1])
 
 
+def loop_jacobian(nf, v, theta):
+    """Reference Jacobian, one line and one direction at a time."""
+    ns = [i for i in range(nf.n_bus) if i != nf.slack]
+    m, pos = len(ns), {bus: k for k, bus in enumerate(ns)}
+    J = np.zeros((2 * m, 2 * m))
+    for l in range(nf.n_line):
+        g, b = nf.g[l], nf.b[l]
+        for e, o in ((nf.from_bus[l], nf.to_bus[l]), (nf.to_bus[l], nf.from_bus[l])):
+            if e == nf.slack:
+                continue
+            vm, vn, t = v[e], v[o], theta[e] - theta[o]
+            c, s = math.cos(t), math.sin(t)
+            dp_dt = vm * vn * (g * s - b * c)
+            dq_dt = -vm * vn * (b * s + g * c)
+            rp, rq = pos[e], m + pos[e]
+            J[rp, pos[e]] += dp_dt
+            J[rp, m + pos[e]] += 2 * g * vm - vn * (g * c + b * s)
+            J[rq, pos[e]] += dq_dt
+            J[rq, m + pos[e]] += -2 * b * vm + vn * (b * c - g * s)
+            if o != nf.slack:
+                J[rp, pos[o]] += -dp_dt
+                J[rp, m + pos[o]] += -vm * (g * c + b * s)
+                J[rq, pos[o]] += -dq_dt
+                J[rq, m + pos[o]] += vm * (b * c - g * s)
+    return J
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_jacobian_matches_line_loop(seed):
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    v = rng.uniform(0.9, 1.1, size=(3, nf.n_bus))
+    theta = rng.uniform(-0.1, 0.1, size=(3, nf.n_bus))
+    J = _jacobian(nf.plan, _flow_partials(nf.plan, v, theta))
+    for i in range(3):
+        assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
+
+
 class TestAdjointGradient:
     def test_zero_weights(self, lin3):
         w = np.zeros(len(residual_labels(lin3)))
@@ -162,13 +225,14 @@ class TestAdjointGradient:
         g2 = adjoint_gradient(br4, dg, w2)
         assert g12 == pytest.approx(g1 + 2.0 * g2, rel=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_central_differences(self, seed):
+    @pytest.mark.parametrize("make, seed", [
+        *(pytest.param(random_chain, s, id=str(s)) for s in range(5)),
+        *(pytest.param(random_tree, s, id=f"tree{s}") for s in range(20)),
+    ])
+    def test_matches_central_differences(self, make, seed):
         rng = np.random.default_rng(seed)
-        n_loads = int(rng.integers(1, 4))
-        lines = [(i, i + 1, float(rng.uniform(0.01, 0.08)), float(rng.uniform(0.0, 0.02)))
-                 for i in range(n_loads)]
-        nf = mk(n_loads + 1, 0, lines, list(range(1, n_loads + 1)))
+        nf = make(rng)
+        n_loads = nf.n_loads
         dg = rng.uniform(0.0, 0.5, size=n_loads)
         w = rng.normal(size=len(residual_labels(nf)))
         tol = 1e-12  # tight Newton stop so the implicit map is smooth at FD scale

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairhc.errors import Infeasible, TooManyLoads
-from fairhc.formulation import FairnessPolicy, References, build_problem
+from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.powerflow import constraint_residuals, solve_power_flow
 from fairhc.solver import (
     HCSolution,
@@ -12,18 +12,12 @@ from fairhc.solver import (
     solve_egalitarian_bisection,
     solve_hc,
     solve_nlp_al,
+    solve_references,
 )
 
 from conftest import mk, make_two_bus
 
 OPTS = SolverOptions()
-
-
-def refs_for(nf, options=OPTS):
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
-    return References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
-                      uti_allocation=uti.allocation / nf.s_base), uti, egal
 
 
 def assert_solution_invariants(sol: HCSolution, problem, options=OPTS):
@@ -118,17 +112,17 @@ class TestDispatch:
         assert barg0.disparity == 0.0
 
     def test_bounded_collapse_matches_egalitarian_exactly(self, lin3):
-        refs, _, egal = refs_for(lin3)
+        refs, _, egal = solve_references(lin3)
         sol = solve_hc(build_problem(lin3, FairnessPolicy.bounded(1.0, 0.0), refs))
         assert np.max(np.abs(sol.allocation - egal.allocation)) < 1e-6
 
     def test_bargaining_k1_matches_utilitarian(self, lin3):
-        refs, uti, _ = refs_for(lin3)
+        refs, uti, _ = solve_references(lin3)
         sol = solve_hc(build_problem(lin3, FairnessPolicy.bargaining(1.0), refs))
         assert sol.hc_total == pytest.approx(uti.hc_total, rel=0.005)
 
     def test_ordering_egal_bounded_uti(self, br4):
-        refs, uti, egal = refs_for(br4)
+        refs, uti, egal = solve_references(br4)
         for alpha, beta in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)):
             sol = solve_hc(build_problem(br4, FairnessPolicy.bounded(alpha, beta), refs))
             assert sol.hc_total >= egal.hc_total - 0.005 * abs(egal.hc_total)
