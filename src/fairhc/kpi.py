@@ -49,13 +49,13 @@ def gini(allocation) -> float:
         raise ValueError("allocation must be a non-empty 1-d vector")
     if np.any(p < 0):
         raise ValueError("allocation must be non-negative")
-    mean = p.mean()
-    if mean == 0.0:
+    if not p.any():
         warnings.warn("all-zero allocation: Gini defined as 0", stacklevel=2)
         return 0.0
     n = len(p)
     total = np.abs(p[:, None] - p[None, :]).sum()
-    return float(total / (2.0 * mean * n * n))
+    # divide by the sum, not the mean: the mean of subnormal values can underflow to 0
+    return float(total / (2.0 * n * p.sum()))
 
 
 def kpi_report(hc_uti: float, allocation_fair) -> KpiReport:

@@ -183,7 +183,14 @@ class _BatchResult(NamedTuple):
 
 
 def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
-                 tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> _BatchResult:
+                 tol: float = PF_TOL, max_iter: int = PF_MAX_ITER,
+                 start: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchResult:
+    """Newton from ``start = (v, theta)``, each ``(B, n)`` with the slack at 1
+    and 0, or from a flat start.
+
+    ``iterations`` holds the step at which each point converged, diverged or
+    hit ``max_iter``; ``mismatch`` its last finite mismatch.
+    """
     plan = nf.plan
     ns = plan.ns
     B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
@@ -192,8 +199,10 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
     q_inj[:, nf.load_bus] = dg_q - nf.q_demand
     inj = np.concatenate([p_inj[:, ns], q_inj[:, ns]], axis=1)
 
-    v = np.ones((B, n))
-    theta = np.zeros((B, n))
+    if start is None:
+        v, theta = np.ones((B, n)), np.zeros((B, n))
+    else:
+        v, theta = (np.array(a, dtype=float) for a in start)
     converged = np.zeros(B, dtype=bool)
     singular = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
@@ -207,9 +216,10 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
             bad = ~np.isfinite(F).all(axis=1) | (v[idx][:, ns].min(axis=1) < _V_FLOOR)
             mis = np.abs(np.where(np.isfinite(F), F, np.inf)).max(axis=1) if m > 0 else np.zeros(len(idx))
             conv = ~bad & (mis < tol)
-            iterations[idx[conv]] = it
+            iterations[idx] = it
             converged[idx[conv]] = True
-            mismatch[idx] = np.where(bad, np.inf, mis)
+            finite = np.isfinite(mis)
+            mismatch[idx[finite]] = mis[finite]
             keep = ~conv & ~bad
             idx = idx[keep]
             if len(idx) == 0 or it == max_iter:
@@ -260,11 +270,11 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray | No
     if res.singular[0]:
         raise SingularJacobian("power-flow Jacobian became singular")
     if not res.converged[0]:
-        raise NonConvergence(
-            f"power flow did not converge in {max_iter} iterations "
-            f"(last mismatch {res.mismatch[0]:.3e} pu)",
-            mismatch=float(res.mismatch[0]),
-        )
+        it, mis = int(res.iterations[0]), float(res.mismatch[0])
+        what = (f"did not converge in {max_iter} iterations" if it == max_iter
+                else f"diverged at iteration {it}")
+        raise NonConvergence(f"power flow {what} (last finite mismatch {mis:.3e} pu)",
+                             mismatch=mis)
     return PowerFlowState(
         v=res.v[0], theta=res.theta[0],
         p_flow=res.p_flow[0], q_flow=res.q_flow[0],

@@ -9,7 +9,12 @@ Three routes:
   bound-projected quasi-Newton (L-BFGS-B) driven by adjoint gradients,
   deterministic 3-point multi-start.
 * ``brute_force_oracle`` -- exhaustive feasibility grid for desk-scale feeders,
-  used as an independent verification oracle.
+  used as an independent verification oracle.  It sweeps the grid as a
+  continuation along the first load: each slab of points sharing one value of
+  that load starts Newton from the converged states of the same points in the
+  two slabs before it.  It falls back to a flat start where that fails, and
+  to a flat-start sweep of the whole grid if a winner does not re-verify from
+  a flat start.
 
 ``solve_references`` gives the utilitarian/egalitarian pair that the bounded
 policy and the frontier sweeps start from.
@@ -316,7 +321,10 @@ def _run_auglag(model: _ALModel, z0: np.ndarray, options: SolverOptions):
     return best, outer, inner_total, converged
 
 
-def _starts_for(problem: HCProblem, options: SolverOptions, model: _ALModel) -> list[np.ndarray]:
+def _starts_for(problem: HCProblem, options: SolverOptions, model: _ALModel
+                ) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Deterministic multi-start points, and the packed egalitarian point (None
+    when the egalitarian reference is unavailable)."""
     lo = np.array([b[0] for b in model.bounds])
     hi = np.array([b[1] for b in model.bounds])
     hi_f = np.where(np.isfinite(hi), hi, lo + 1.0)
@@ -336,8 +344,9 @@ def _starts_for(problem: HCProblem, options: SolverOptions, model: _ALModel) -> 
             egal = float(sol.allocation[0] / problem.feeder.s_base)
         except (Infeasible, NonConvergence):
             egal = None
-    if egal is not None:
-        starts.append(pack(np.full(n, egal)))
+    z_egal = None if egal is None else pack(np.full(n, egal))
+    if z_egal is not None:
+        starts.append(z_egal)
     starts.append(0.5 * (lo + hi_f))
     # dedupe
     unique, seen = [], set()
@@ -346,7 +355,7 @@ def _starts_for(problem: HCProblem, options: SolverOptions, model: _ALModel) -> 
         if key not in seen:
             seen.add(key)
             unique.append(s)
-    return unique
+    return unique, z_egal
 
 
 def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HCSolution:
@@ -363,14 +372,20 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
     if c_low is None or c_low.min() < -options.tol:
         raise Infeasible("lower-bound allocation already violates operational limits")
 
-    # lower bound is always a feasible fallback candidate
+    # the lower bound is always a feasible fallback candidate, and so is the
+    # egalitarian point once re-verified, which keeps hc_uti >= hc_egal
     z_low = np.array([b[0] for b in model.bounds])
-    fallback = (model.objective(z_low)[0], z_low, max(0.0, -float(c_low.min())))
+    best = (model.objective(z_low)[0], z_low, max(0.0, -float(c_low.min())))
+    starts, z_egal = _starts_for(problem, options, model)
+    if z_egal is not None:
+        _, c_egal = _residual_vector(nf, model.injections(z_egal), options)
+        f_egal = model.objective(z_egal)[0]
+        if c_egal is not None and c_egal.min() >= -options.tol and f_egal < best[0]:
+            best = (f_egal, z_egal, max(0.0, -float(c_egal.min())))
 
-    best = fallback
     outer_total = inner_total = 0
     any_converged = False
-    for z0 in _starts_for(problem, options, model):
+    for z0 in starts:
         cand, outer, inner, conv = _run_auglag(model, z0, options)
         outer_total += outer
         inner_total += inner
@@ -460,6 +475,61 @@ def _grid_points(problem: HCProblem, steps: int) -> np.ndarray:
     return np.stack([mm.ravel() for mm in mesh], axis=1)
 
 
+def _slab_start(history: list[tuple], shape: tuple[int, int]):
+    """Newton start ``(v, theta)`` of a slab, and where it is not flat.
+
+    ``history`` holds ``(converged, v, theta)`` of the last two slabs, newest
+    last.  A point extrapolates linearly where both earlier points converged,
+    repeats the last state where only it did, and starts flat otherwise.
+    """
+    v, theta = np.ones(shape), np.zeros(shape)
+    warm = np.zeros(shape[0], dtype=bool)
+    if history:
+        warm, v1, t1 = history[-1]
+        v[warm], theta[warm] = v1[warm], t1[warm]
+        if len(history) == 2:
+            c2, v2, t2 = history[-2]
+            both = warm & c2
+            v[both] = 2.0 * v1[both] - v2[both]
+            theta[both] = 2.0 * t1[both] - t2[both]
+    return v, theta, warm
+
+
+def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int,
+           options: SolverOptions) -> list[np.ndarray | None]:
+    """First best feasible point of ``pts`` for each objective (None if there is
+    none), sweeping ``n_slabs`` slabs along the first load; one slab is a plain
+    flat-start sweep."""
+    best_val = [-np.inf] * len(objectives)
+    best_p: list[np.ndarray | None] = [None] * len(objectives)
+    history: list[tuple] = []
+    for slab in pts.reshape(n_slabs, -1, pts.shape[1]):
+        v0, t0, warm = _slab_start(history, (len(slab), nf.n_bus))
+        converged = np.zeros(len(slab), dtype=bool)
+        v, theta = np.empty_like(v0), np.empty_like(t0)
+        for lo in range(0, len(slab), ORACLE_CHUNK):
+            part = slice(lo, lo + ORACLE_CHUNK)
+            block, block_q = slab[part], _dg_q(slab[part], options)
+            res = _solve_batch(nf, block, block_q, tol=options.pf_tol, start=(v0[part], t0[part]))
+            retry = np.flatnonzero(~res.converged & warm[part])
+            if len(retry):
+                flat = _solve_batch(nf, block[retry], block_q[retry], tol=options.pf_tol)
+                for field, value in zip(res, flat):
+                    field[retry] = value
+            converged[part], v[part], theta[part] = res.converged, res.v, res.theta
+            feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
+            if not feas.any():
+                continue
+            for mi, objective in enumerate(objectives):
+                vals = np.where(feas, objective(block), -np.inf)
+                i = int(np.argmax(vals))
+                if vals[i] > best_val[mi]:
+                    best_val[mi] = float(vals[i])
+                    best_p[mi] = block[i].copy()
+        history = [*history[-1:], (converged, v, theta)]
+    return best_p
+
+
 def brute_force_oracle(problem: HCProblem, grid_steps: int | None = None,
                        options: SolverOptions | None = None) -> HCSolution:
     """Exhaustive grid search over the policy box; feasibility via full power flow.
@@ -476,6 +546,19 @@ def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None =
 
     Policies whose search boxes coincide (e.g. utilitarian and bargaining)
     share the power-flow feasibility sweep, which dominates the runtime.
+
+    The sweep is a continuation along the first load.  The grid splits into
+    slabs, each holding every point with one value of that load; slab ``k``
+    starts Newton at each point from ``2 x[k-1] - x[k-2]`` where both earlier
+    states converged, from ``x[k-1]`` where only the last did, and flat
+    otherwise, which takes one or two steps instead of three or four.  A point
+    that fails from a predicted start is solved again from the flat start, so
+    every point a flat start converges stays converged.  A predicted start can
+    also converge where a flat start does not, so each winner is re-verified
+    from a flat start; if one fails, the group is swept again from flat starts
+    only, which picks the same points as a plain flat-start sweep.  A grid
+    with one free axis (a tied or a one-load problem) is a single slab from a
+    flat start.
     """
     options = options or SolverOptions()
     steps = grid_steps or options.grid_steps
@@ -495,25 +578,20 @@ def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None =
 
     out: list[HCSolution | None] = [None] * len(problems)
     for members in groups.values():
-        pts = _grid_points(problems[members[0]], steps)
-        best_val = [-np.inf] * len(members)
-        best_p: list[np.ndarray | None] = [None] * len(members)
-        for start in range(0, len(pts), ORACLE_CHUNK):
-            block = pts[start: start + ORACLE_CHUNK]
-            res = _solve_batch(nf, block, _dg_q(block, options), tol=options.pf_tol)
-            feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
-            if not feas.any():
-                continue
-            for mi, j in enumerate(members):
-                vals = np.where(feas, problems[j].objective(block), -np.inf)
-                i = int(np.argmax(vals))
-                if vals[i] > best_val[mi]:
-                    best_val[mi] = float(vals[i])
-                    best_p[mi] = block[i].copy()
-        for mi, j in enumerate(members):
-            if best_p[mi] is None:
+        first = problems[members[0]]
+        pts = _grid_points(first, steps)
+        objectives = [problems[j].objective for j in members]
+        n_slabs = 1 if first.tie or first.n_loads == 1 else steps
+        best = _sweep(nf, objectives, pts, n_slabs, options)
+        checks = [None if p is None else _residual_vector(nf, p, options)[1] for p in best]
+        if n_slabs > 1 and not all(c is not None and c.min() >= -options.tol for c in checks):
+            # a predicted start converged where a flat start does not: sweep
+            # the group again from flat starts only
+            best = _sweep(nf, objectives, pts, 1, options)
+            checks = [None if p is None else _residual_vector(nf, p, options)[1] for p in best]
+        for j, p, c_net in zip(members, best, checks):
+            if p is None:
                 raise Infeasible("no feasible grid point")
-            _, c_net = _residual_vector(nf, best_p[mi], options)
-            out[j] = _make_solution(nf, best_p[mi], problems[j].policy, "optimal",
+            out[j] = _make_solution(nf, p, problems[j].policy, "optimal",
                                     max(0.0, -float(c_net.min())), c_net, (0, len(pts)))
     return out  # type: ignore[return-value]

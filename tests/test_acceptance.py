@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete; without ``-s`` they appear in the captured output of failures.
 """
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,10 @@ class TestGini:
         with pytest.warns(UserWarning):
             assert gini([0.0, 0.0]) == 0.0
 
+    def test_subnormal_allocation_is_not_all_zero(self):
+        # its mean underflows to 0; the Gini of one nonzero share in two is 1/2
+        assert gini([0.0, 5e-324]) == 0.5
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             gini([1.0, -0.1])
@@ -63,7 +69,18 @@ class TestGini:
         p = np.array(values)
         if p.sum() == 0:
             return
-        assert gini(c * p) == pytest.approx(gini(p), abs=1e-9)
+        q = c * p
+        if not q.any():  # every share underflowed
+            with pytest.warns(UserWarning):
+                assert gini(q) == 0.0
+            return
+        # c * p rounds each share by a relative error of at most delta (2**-53 for
+        # normal shares, up to 1 for subnormal ones), which moves the Gini by at
+        # most 2 delta / (1 - delta)
+        delta = max(abs(Fraction(qi) - Fraction(c) * Fraction(pi)) / (Fraction(c) * Fraction(pi))
+                    for pi, qi in zip(values, q) if pi > 0)
+        if delta < 1:
+            assert abs(gini(q) - gini(p)) <= 1e-9 + float(2 * delta / (1 - delta))
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=20),
            st.randoms())

@@ -11,6 +11,7 @@ from fairhc.powerflow import (
     PowerFlowState,
     _flow_partials,
     _jacobian,
+    _solve_batch,
     adjoint_gradient,
     constraint_residuals,
     residual_labels,
@@ -87,6 +88,13 @@ class TestSolvePowerFlow:
         nf = mk(2, 0, [(0, 1, 0.05, 0.0)], [1], p_demand=6.0, q_demand=0.0)
         with pytest.raises(NonConvergence):
             solve_power_flow(nf, np.zeros(1))
+
+    def test_divergence_reports_last_finite_mismatch(self):
+        nf = mk(2, 0, [(0, 1, 0.05, 0.0)], [1], p_demand=20.0, q_demand=0.0)
+        with pytest.raises(NonConvergence, match="diverged at iteration") as exc:
+            solve_power_flow(nf, np.zeros(1))
+        assert np.isfinite(exc.value.mismatch)
+        assert "inf" not in str(exc.value)
 
     def test_bad_shape_rejected(self, two_bus):
         with pytest.raises(ValueError):
@@ -197,6 +205,23 @@ def test_jacobian_matches_line_loop(seed):
     J = _jacobian(nf.plan, _flow_partials(nf.plan, v, theta))
     for i in range(3):
         assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_start_converges_to_flat_state_in_fewer_steps(seed):
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    dg = rng.uniform(0.2, 1.0, size=(4, nf.n_loads))
+    flat = _solve_batch(nf, dg, np.zeros_like(dg))
+    ns = nf.plan.ns
+    v, theta = flat.v.copy(), flat.theta.copy()
+    v[:, ns] += rng.uniform(-1e-5, 1e-5, size=(4, len(ns)))
+    theta[:, ns] += rng.uniform(-1e-5, 1e-5, size=(4, len(ns)))
+    warm = _solve_batch(nf, dg, np.zeros_like(dg), start=(v, theta))
+    assert flat.converged.all() and warm.converged.all()
+    assert np.all(warm.iterations < flat.iterations)
+    assert np.abs(warm.v - flat.v).max() < 1e-8
+    assert np.abs(warm.theta - flat.theta).max() < 1e-8
 
 
 class TestAdjointGradient:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fairhc import solver
 from fairhc.errors import Infeasible, TooManyLoads
 from fairhc.formulation import FairnessPolicy, build_problem
-from fairhc.powerflow import constraint_residuals, solve_power_flow
+from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
 from fairhc.solver import (
     HCSolution,
     SolverOptions,
@@ -15,7 +16,7 @@ from fairhc.solver import (
     solve_references,
 )
 
-from conftest import mk, make_two_bus
+from conftest import make_br4, make_lin3, make_star3, make_two_bus, mk
 
 OPTS = SolverOptions()
 
@@ -185,3 +186,79 @@ class TestBruteForceOracle:
                  build_problem(star3, FairnessPolicy.utilitarian())]
         with pytest.raises(ValueError):
             brute_force_oracle_batch(probs, grid_steps=11)
+
+
+def flat_oracle(problem, steps, options=OPTS):
+    """Reference grid oracle: every point solved from a flat start in one batch,
+    then the first best feasible point, in kW."""
+    nf = problem.feeder
+    if problem.tie:
+        pts = np.linspace(problem.lower.max(), problem.upper.min(), steps)[:, None].repeat(nf.n_loads, axis=1)
+    else:
+        axes = np.meshgrid(*(np.linspace(lo, hi, steps) for lo, hi in zip(problem.lower, problem.upper)),
+                           indexing="ij")
+        pts = np.stack([a.ravel() for a in axes], axis=1)
+    res = _solve_batch(nf, pts, np.zeros_like(pts), tol=options.pf_tol)
+    feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
+    vals = np.where(feas, problem.objective(pts), -np.inf)
+    return pts[int(np.argmax(vals))] * nf.s_base
+
+
+class TestContinuationSweep:
+    """The oracle's continuation sweep picks exactly what a flat-start sweep picks."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(batch size, warm start?) of each batched solve the oracle makes."""
+        calls = []
+        real = solver._solve_batch
+
+        def spy(nf, dg, dg_q, *args, start=None, **kwargs):
+            warm = start is not None and bool(np.any(start[0] != 1.0) or np.any(start[1] != 0.0))
+            calls.append((len(dg), warm))
+            return real(nf, dg, dg_q, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("make", [make_lin3, make_star3, make_br4])
+    def test_matches_flat_start_sweep(self, make):
+        nf = make()
+        probs = [build_problem(nf, FairnessPolicy.utilitarian()),
+                 build_problem(nf, FairnessPolicy.bargaining(0.5))]
+        for prob, sol in zip(probs, brute_force_oracle_batch(probs, grid_steps=31)):
+            assert np.array_equal(sol.allocation, flat_oracle(prob, 31))
+
+    def test_tied_grid_is_one_flat_slab(self, br4, solves):
+        prob = build_problem(br4, FairnessPolicy.egalitarian())
+        sol = brute_force_oracle(prob, grid_steps=31)
+        assert solves == [(31, False)]
+        assert np.array_equal(sol.allocation, flat_oracle(prob, 31))
+
+    def test_one_load_is_one_flat_slab(self, two_bus, solves):
+        prob = build_problem(two_bus, FairnessPolicy.utilitarian())
+        sol = brute_force_oracle(prob, grid_steps=1001)
+        assert solves == [(1001, False)]
+        assert np.array_equal(sol.allocation, flat_oracle(prob, 1001))
+
+    def test_diverging_points_retried_from_flat(self, solves):
+        # mostly reactive lines: a large export has no power-flow solution, so part of the box diverges
+        nf = mk(3, 0, [(0, 1, 0.01, 0.1), (1, 2, 0.01, 0.1)], [1, 2], p_demand=0.0,
+                q_demand=0.0, dg_cap=4.0, v_max=10.0, s_rated=100.0, dtheta=3.0)
+        prob = build_problem(nf, FairnessPolicy.utilitarian())
+        sol = brute_force_oracle(prob, grid_steps=31)
+        assert any(warm for _, warm in solves)
+        assert any(not warm for _, warm in solves[1:])  # a retry from flat
+        assert np.array_equal(sol.allocation, flat_oracle(prob, 31))
+
+    def test_winner_only_a_predicted_start_converges_is_swept_again(self, solves):
+        # near the export limit a predicted start converges where a flat start
+        # diverges; such a point must not become the winner
+        nf = mk(4, 0, [(0, 1, 0.05, 0.05), (1, 2, 0.05, 0.05), (2, 3, 0.05, 0.05)], [1, 3],
+                p_demand=0.0, q_demand=0.0, dg_cap=10.0, v_min=0.0, v_max=10.0,
+                s_rated=1000.0, dtheta=3.0)
+        probs = [build_problem(nf, FairnessPolicy.utilitarian()),
+                 build_problem(nf, FairnessPolicy.bargaining(0.5))]
+        for prob, sol in zip(probs, brute_force_oracle_batch(probs, grid_steps=41)):
+            assert np.array_equal(sol.allocation, flat_oracle(prob, 41))
+        assert solves[-1] == (41 * 41, False)  # the flat-start sweep

@@ -95,6 +95,8 @@ class TestTopologyExperiment:
         bra = SynthSpec(n_loads=1, layout="branched", trunk_len_m=30.0,
                         branch_len_m=30.0, conductor=STRONG)
         report = topology_experiment(lin, bra, FAST)
+        for row in (report.linear, report.branched):
+            assert row.hc_uti_kw >= row.hc_egal_kw
         # one load: every policy coincides, so PoF matches across layouts
         assert report.linear.pof_egal == pytest.approx(report.branched.pof_egal,
                                                        abs=1e-4)
