@@ -26,7 +26,7 @@ def two_bus(v_max=1.05):
         slack=0,
         from_bus=np.array([0]), to_bus=np.array([1]),
         g=np.array([1.0 / R]), b=np.array([0.0]),
-        s_rated=np.array([5.0]), length_m=np.array([100.0]), u_nom=np.array([1.0]),
+        s_rated=np.array([5.0]),
         v_min=np.full(2, 0.90), v_max=np.full(2, v_max),
         dtheta_min=np.full(2, -math.radians(10)), dtheta_max=np.full(2, math.radians(10)),
         load_bus=np.array([1]), p_demand=np.zeros(1), q_demand=np.zeros(1),

@@ -27,7 +27,6 @@ from .netmodel import (
     Line,
     Load,
     NormalizedFeeder,
-    denormalize,
     electrical_distance,
     feeder_stats,
     parse_feeder,

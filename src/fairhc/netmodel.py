@@ -213,8 +213,6 @@ class NormalizedFeeder:
     g: np.ndarray  # (L,) series conductance, pu
     b: np.ndarray  # (L,) series susceptance, pu (<= 0)
     s_rated: np.ndarray  # (L,) apparent-power limit, pu
-    length_m: np.ndarray  # (L,) kept for reconstruction
-    u_nom: np.ndarray  # (L,) volts, kept for reconstruction
     v_min: np.ndarray  # (n,) pu
     v_max: np.ndarray  # (n,) pu
     dtheta_min: np.ndarray  # (n,) rad
@@ -279,8 +277,6 @@ def to_per_unit(feeder: Feeder) -> NormalizedFeeder:
         g=g,
         b=b,
         s_rated=s_rated,
-        length_m=np.array([ln.length for ln in feeder.lines]),
-        u_nom=np.array([ln.nominal_voltage for ln in feeder.lines]),
         v_min=np.array([b_.v_min for b_ in feeder.buses]),
         v_max=np.array([b_.v_max for b_ in feeder.buses]),
         dtheta_min=np.array([b_.dtheta_min for b_ in feeder.buses]),
@@ -293,64 +289,6 @@ def to_per_unit(feeder: Feeder) -> NormalizedFeeder:
         dg_cap=feeder.dg_cap / feeder.s_base,
         s_base=feeder.s_base,
         v_base=feeder.v_base,
-    )
-
-
-def denormalize(nf: NormalizedFeeder) -> Feeder:
-    """Inverse of :func:`to_per_unit` (lossless up to floating-point rounding)."""
-    zb = z_base_ohm(nf.s_base, nf.v_base)
-    sb_w = nf.s_base * 1000.0
-    load_set = set(nf.load_bus.tolist())
-    buses = []
-    for i, bid in enumerate(nf.bus_ids):
-        kind = "slack" if i == nf.slack else ("load" if i in load_set else "junction")
-        buses.append(
-            Bus(
-                id=bid,
-                kind=kind,
-                v_min=float(nf.v_min[i]),
-                v_max=float(nf.v_max[i]),
-                dtheta_min=float(nf.dtheta_min[i]),
-                dtheta_max=float(nf.dtheta_max[i]),
-            )
-        )
-    z2 = nf.g**2 + nf.b**2
-    r_pu = nf.g / z2
-    x_pu = -nf.b / z2
-    lines = []
-    for l in range(nf.n_line):
-        lines.append(
-            Line(
-                from_bus=nf.bus_ids[nf.from_bus[l]],
-                to_bus=nf.bus_ids[nf.to_bus[l]],
-                resistance=float(r_pu[l] * zb),
-                reactance=float(x_pu[l] * zb),
-                length=float(nf.length_m[l]),
-                rated_current=float(nf.s_rated[l] * sb_w / nf.u_nom[l]),
-                nominal_voltage=float(nf.u_nom[l]),
-            )
-        )
-    loads = [
-        Load(
-            bus=nf.bus_ids[nf.load_bus[d]],
-            p_demand=float(nf.p_demand[d] * nf.s_base),
-            q_demand=float(nf.q_demand[d] * nf.s_base),
-        )
-        for d in range(nf.n_loads)
-    ]
-    conn = GridConnection(
-        bus=nf.bus_ids[nf.slack],
-        p_max=float(nf.slack_p_max * nf.s_base),
-        q_max=float(nf.slack_q_max * nf.s_base),
-    )
-    return Feeder(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        loads=tuple(loads),
-        connection=conn,
-        s_base=nf.s_base,
-        v_base=nf.v_base,
-        dg_cap=float(nf.dg_cap * nf.s_base),
     )
 
 

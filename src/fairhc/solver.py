@@ -1,6 +1,6 @@
 """Hosting-capacity solvers.
 
-Three routes:
+Two routes, and an oracle that checks them:
 
 * ``solve_egalitarian_bisection`` -- scalar bisection on the uniform allocation,
   exploiting the monotone voltage bottleneck of radial feeders.
@@ -42,23 +42,22 @@ FEAS_TOL = 1e-6  # pu; residual >= -FEAS_TOL counts as satisfied
 ORACLE_CHUNK = 1 << 14  # grid points per batched Newton solve; keeps its arrays in cache
 _BINDING_TOL = 1e-5
 _FAIL_PENALTY = 1e6
+_MAX_INNER = 120  # L-BFGS-B iterations per outer pass
+_PENALTY0 = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_TRIGGER = 4.0  # grow penalty unless violation shrank by this factor
+_PG_TOL = 1e-6  # projected-gradient stationarity target
+_COMP_TOL = 1e-8  # complementary-slackness target, max_i |lambda_i c_i|
+_BISECT_TOL = 1e-6  # pu bracket width
 
 
 @dataclass
 class SolverOptions:
     tol: float = FEAS_TOL  # constraint-violation tolerance, pu
-    pf_tol: float = 1e-8  # Newton mismatch tolerance, pu
     max_outer: int = 50
-    max_inner: int = 120  # L-BFGS-B iterations per outer pass
     starts: int = 3
     grid_steps: int = 201  # oracle resolution per dimension
-    penalty0: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_trigger: float = 4.0  # grow penalty unless violation shrank by this factor
-    bisect_tol: float = 1e-6  # pu bracket width
     power_factor: float | None = None  # DG power factor; None = unity (no reactive)
-    pg_tol: float = 1e-6  # projected-gradient stationarity target
-    comp_tol: float = 1e-8  # complementary-slackness target, max_i |lambda_i c_i|
 
 
 @dataclass
@@ -83,7 +82,7 @@ def _dg_q(dg: np.ndarray, options: SolverOptions) -> np.ndarray:
 def _residual_vector(nf: NormalizedFeeder, dg: np.ndarray, options: SolverOptions):
     """(state, residual vector) at ``dg``; None on power-flow failure."""
     try:
-        state = solve_power_flow(nf, dg, _dg_q(dg, options), tol=options.pf_tol)
+        state = solve_power_flow(nf, dg, _dg_q(dg, options))
     except (NonConvergence, SingularJacobian):
         return None, None
     return state, constraint_residuals(state, nf).as_vector()
@@ -121,40 +120,38 @@ def solve_egalitarian_bisection(nf: NormalizedFeeder, options: SolverOptions | N
                                 policy: FairnessPolicy | None = None) -> HCSolution:
     """Largest uniform per-load injection keeping all residuals >= -tol.
 
-    Assumes the binding constraint is monotone in the uniform injection; a
-    coarse prescan detects non-monotone feasibility and falls back to the
-    augmented-Lagrangian route on the tied scalar variable.
+    Assumes the binding constraint is monotone in the uniform injection.  A
+    coarse prescan brackets the answer; where it finds feasibility is not
+    monotone, the bisection runs above the highest feasible probe.
     """
     options = options or SolverOptions()
     policy = policy or FairnessPolicy.egalitarian()
     t_hi = nf.dg_cap if t_max is None else t_max
     n = nf.n_loads
 
-    def margin(t: float) -> float:
-        _, c = _residual_vector(nf, np.full(n, t), options)
-        return -np.inf if c is None else float(c.min())
+    def residuals(t: float) -> np.ndarray | None:
+        return _residual_vector(nf, np.full(n, t), options)[1]
+
+    def feasible(c: np.ndarray | None) -> bool:
+        return c is not None and c.min() >= -options.tol
+
+    if not feasible(residuals(t_min)):
+        raise Infeasible("baseline (lowest uniform injection) already violates limits")
+    c = residuals(t_hi)
+    if feasible(c):
+        return _make_solution(nf, np.full(n, t_hi), policy, "optimal", max(0.0, -c.min()), c, (1, 0))
+
+    # prescan; its endpoints are the two probes above
+    probes = np.linspace(t_min, t_hi, 9)
+    flags = [True, *(feasible(residuals(t)) for t in probes[1:-1]), False]
+    k = max(i for i, ok in enumerate(flags) if ok)
+    lo, hi = probes[k], probes[k + 1]
 
     outer = 0
-    if margin(t_min) < -options.tol:
-        raise Infeasible("baseline (lowest uniform injection) already violates limits")
-    if margin(t_hi) >= -options.tol:
-        p = np.full(n, t_hi)
-        _, c = _residual_vector(nf, p, options)
-        return _make_solution(nf, p, policy, "optimal", max(0.0, -c.min()), c, (1, 0))
-
-    # monotonicity prescan: feasible probe above an infeasible one => downgrade
-    probes = np.linspace(t_min, t_hi, 9)
-    flags = [margin(t) >= -options.tol for t in probes]
-    first_bad = flags.index(False)
-    if any(flags[first_bad:]):
-        problem = HCProblem(nf, policy, np.full(n, t_min), np.full(n, t_hi), tie=True)
-        return _solve_tie_al(problem, options)
-    lo, hi = probes[first_bad - 1], probes[first_bad]
-
-    while hi - lo > options.bisect_tol:
+    while hi - lo > _BISECT_TOL:
         outer += 1
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= -options.tol:
+        if feasible(residuals(mid)):
             lo = mid
         else:
             hi = mid
@@ -169,258 +166,152 @@ def solve_egalitarian_bisection(nf: NormalizedFeeder, options: SolverOptions | N
 # Augmented Lagrangian
 # ---------------------------------------------------------------------------
 
-class _ALModel:
-    """Objective/constraint oracle over the reduced decision vector.
-
-    For bargaining the vector is ``[p_1..p_D, disparity]`` with two epigraph
-    inequalities per load; otherwise just the injections.
-    """
-
-    def __init__(self, problem: HCProblem, options: SolverOptions, tie: bool = False):
-        self.problem = problem
-        self.nf = problem.feeder
-        self.options = options
-        self.tie = tie
-        self.n = problem.n_loads
-        self.barg = problem.policy.variant == "bargaining" and not tie
-        if tie:
-            self.dim = 1
-            self.bounds = [(float(problem.lower.max()), float(problem.upper.min()))]
-        else:
-            self.dim = self.n + 1 if self.barg else self.n
-            self.bounds = [(float(lo), float(hi)) for lo, hi in zip(problem.lower, problem.upper)]
-            if self.barg:
-                self.bounds.append((0.0, float(self.nf.dg_cap)))
-        self.anchor = np.array([b[0] for b in self.bounds])
-        self._cache: dict[bytes, tuple] = {}
-
-    def injections(self, z: np.ndarray) -> np.ndarray:
-        if self.tie:
-            return np.full(self.n, z[0])
-        return z[: self.n]
-
-    def _pf(self, z: np.ndarray):
-        key = z.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            p = self.injections(z)
-            hit = _residual_vector(self.nf, p, self.options)
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
-
-    def objective(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Minimized objective (negated hosting-capacity objective)."""
-        grad = np.zeros(self.dim)
-        if self.tie:
-            return -self.n * z[0], grad - self.n
-        if self.barg:
-            k = self.problem.policy.k
-            grad[: self.n] = -k
-            grad[self.n] = 1.0 - k
-            return -(k * z[: self.n].sum() - (1.0 - k) * z[self.n]), grad
-        grad[:] = -1.0
-        return -float(z.sum()), grad
-
-    def constraints(self, z: np.ndarray) -> np.ndarray | None:
-        _, c_net = self._pf(z)
-        if c_net is None:
-            return None
-        if not self.barg:
-            return c_net
-        p, dp = z[: self.n], z[self.n]
-        dev = p - p.mean()
-        return np.concatenate([c_net, dp - dev, dp + dev])
-
-    def weighted_constraint_grad(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i * grad c_i(z)."""
-        state, c_net = self._pf(z)
-        nc = len(c_net)
-        out = np.zeros(self.dim)
-        w_net = w[:nc]
-        if np.any(w_net != 0.0):
-            g = adjoint_gradient(self.nf, self.injections(z), w_net,
-                                 dg_q=_dg_q(self.injections(z), self.options),
-                                 tol=self.options.pf_tol, state=state)
-            if self.tie:
-                out[0] += g.sum()
-            else:
-                out[: self.n] += g
-        if self.barg:
-            w1 = w[nc: nc + self.n]
-            w2 = w[nc + self.n:]
-            out[: self.n] += -w1 + w1.sum() / self.n
-            out[: self.n] += w2 - w2.sum() / self.n
-            out[self.n] += w1.sum() + w2.sum()
-        return out
-
-    def al_value_grad(self, z: np.ndarray, lam: np.ndarray, rho: float):
-        c = self.constraints(z)
-        if c is None:
-            d = z - self.anchor
-            return _FAIL_PENALTY * (1.0 + d @ d), 2.0 * _FAIL_PENALTY * d
-        w = np.maximum(0.0, lam - rho * c)
-        fval, fgrad = self.objective(z)
-        val = fval + float(w @ w - lam @ lam) / (2.0 * rho)
-        grad = fgrad - self.weighted_constraint_grad(z, w)
-        return val, grad
-
-    def n_constraints(self, z0: np.ndarray) -> int:
-        c = self.constraints(z0)
-        if c is None:
-            raise Infeasible("power flow does not converge at the lower bound")
-        return len(c)
-
-
-def _run_auglag(model: _ALModel, z0: np.ndarray, options: SolverOptions):
-    """One AL descent from z0. Returns (best_z, best_obj, kkt, outer, inner, converged)."""
-    z = z0.copy()
-    nc = model.n_constraints(np.array([b[0] for b in model.bounds]))
-    lam = np.zeros(nc)
-    rho = options.penalty0
-    lo = np.array([b[0] for b in model.bounds])
-    hi = np.array([b[1] for b in model.bounds])
-    prev_measure = np.inf
-    best = None  # (obj_min, z, kkt)
-    inner_total = 0
-    converged = False
-    for outer in range(1, options.max_outer + 1):
-        res = minimize(
-            model.al_value_grad, z, args=(lam, rho), jac=True, method="L-BFGS-B",
-            bounds=model.bounds,
-            options={"maxiter": options.max_inner, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        z = res.x
-        inner_total += int(res.nit)
-        c = model.constraints(z)
-        if c is None:
-            rho = min(rho * options.penalty_growth, 1e10)
-            z = z0.copy()
-            continue
-        viol = max(0.0, -float(c.min()))
-        lam = np.maximum(0.0, lam - rho * c)
-        # stationarity holds by construction after the inner solve; progress is
-        # measured by feasibility plus complementary slackness
-        comp = float(np.max(np.abs(lam * c))) if nc else 0.0
-        measure = max(viol, comp)
-        if viol <= options.tol:
-            fval, fgrad = model.objective(z)
-            grad_l = fgrad - model.weighted_constraint_grad(z, lam)
-            pg = float(np.max(np.abs(np.clip(z - grad_l, lo, hi) - z)))
-            kkt = max(viol, pg)
-            if best is None or fval < best[0]:
-                best = (fval, z.copy(), kkt)
-            if comp <= options.comp_tol and pg <= options.pg_tol:
-                converged = True
-                break
-        if measure > prev_measure / options.penalty_trigger:
-            rho = min(rho * options.penalty_growth, 1e10)
-        if np.isfinite(measure):
-            prev_measure = min(prev_measure, measure)
-    return best, outer, inner_total, converged
-
-
-def _starts_for(problem: HCProblem, options: SolverOptions, model: _ALModel
-                ) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Deterministic multi-start points, and the packed egalitarian point (None
-    when the egalitarian reference is unavailable)."""
-    lo = np.array([b[0] for b in model.bounds])
-    hi = np.array([b[1] for b in model.bounds])
-    hi_f = np.where(np.isfinite(hi), hi, lo + 1.0)
-    n = problem.n_loads
-
-    def pack(p: np.ndarray) -> np.ndarray:
-        p = np.clip(p, problem.lower, problem.upper)
-        if model.barg:
-            return np.append(p, np.max(np.abs(p - p.mean())) if n else 0.0)
-        return p
-
-    starts = [lo.copy()]
-    egal = problem.reference_egal
-    if egal is None:
-        try:
-            sol = solve_egalitarian_bisection(problem.feeder, options)
-            egal = float(sol.allocation[0] / problem.feeder.s_base)
-        except (Infeasible, NonConvergence):
-            egal = None
-    z_egal = None if egal is None else pack(np.full(n, egal))
-    if z_egal is not None:
-        starts.append(z_egal)
-    starts.append(0.5 * (lo + hi_f))
-    # dedupe
-    unique, seen = [], set()
-    for s in starts[: max(1, options.starts)]:
-        key = np.round(s, 12).tobytes()
-        if key not in seen:
-            seen.add(key)
-            unique.append(s)
-    return unique, z_egal
-
-
 def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HCSolution:
     """Augmented-Lagrangian solve with deterministic multi-start.
+
+    The decision vector is the injections, and for bargaining also the
+    disparity ``d``, with two epigraph inequalities per load.  Each start runs
+    up to ``max_outer`` passes of L-BFGS-B on the augmented Lagrangian.  The
+    lower bound and the re-verified egalitarian point are fallback candidates,
+    which keeps hc_uti >= hc_egal.
 
     Raises :class:`Infeasible` when the lower-bound point already violates the
     operational limits (tolerance ``options.tol``).
     """
     options = options or SolverOptions()
     nf = problem.feeder
-    model = _ALModel(problem, options)
+    n = problem.n_loads
+    barg = problem.policy.variant == "bargaining"
+    k = problem.policy.k
+    lo, hi = problem.lower.astype(float), problem.upper.astype(float)
+    if barg:
+        lo, hi = np.append(lo, 0.0), np.append(hi, float(nf.dg_cap))
+        grad_f = np.append(np.full(n, -k), 1.0 - k)
+    else:
+        grad_f = np.full(n, -1.0)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
 
-    _, c_low = _residual_vector(nf, problem.lower, options)
+    state_low, c_low = _residual_vector(nf, problem.lower, options)
     if c_low is None or c_low.min() < -options.tol:
         raise Infeasible("lower-bound allocation already violates operational limits")
 
+    def f(z: np.ndarray) -> float:
+        """Minimized objective (negated hosting-capacity objective)."""
+        if barg:
+            return -(k * z[:n].sum() - (1.0 - k) * z[n])
+        return -float(z.sum())
+
+    cache: dict[bytes, tuple] = {lo.tobytes(): (state_low, c_low)}
+
+    def pf(z: np.ndarray):
+        key = z.tobytes()
+        hit = cache.get(key)
+        if hit is None:
+            hit = _residual_vector(nf, z[:n], options)
+            if len(cache) > 64:
+                cache.clear()
+            cache[key] = hit
+        return hit
+
+    def constraints(z: np.ndarray) -> np.ndarray | None:
+        c_net = pf(z)[1]
+        if c_net is None or not barg:
+            return c_net
+        dev = z[:n] - z[:n].mean()
+        return np.concatenate([c_net, z[n] - dev, z[n] + dev])
+
+    def weighted_grad(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i * grad c_i(z)."""
+        state, c_net = pf(z)
+        nc = len(c_net)
+        out = np.zeros(len(z))
+        if np.any(w[:nc] != 0.0):
+            out[:n] += adjoint_gradient(nf, z[:n], w[:nc], dg_q=_dg_q(z[:n], options), state=state)
+        if barg:
+            w1, w2 = w[nc: nc + n], w[nc + n:]
+            out[:n] += -w1 + w1.sum() / n
+            out[:n] += w2 - w2.sum() / n
+            out[n] += w1.sum() + w2.sum()
+        return out
+
+    def al_value_grad(z: np.ndarray, lam: np.ndarray, rho: float):
+        c = constraints(z)
+        if c is None:
+            d = z - lo
+            return _FAIL_PENALTY * (1.0 + d @ d), 2.0 * _FAIL_PENALTY * d
+        w = np.maximum(0.0, lam - rho * c)
+        val = f(z) + float(w @ w - lam @ lam) / (2.0 * rho)
+        return val, grad_f - weighted_grad(z, w)
+
     # the lower bound is always a feasible fallback candidate, and so is the
-    # egalitarian point once re-verified, which keeps hc_uti >= hc_egal
-    z_low = np.array([b[0] for b in model.bounds])
-    best = (model.objective(z_low)[0], z_low, max(0.0, -float(c_low.min())))
-    starts, z_egal = _starts_for(problem, options, model)
-    if z_egal is not None:
-        _, c_egal = _residual_vector(nf, model.injections(z_egal), options)
-        f_egal = model.objective(z_egal)[0]
-        if c_egal is not None and c_egal.min() >= -options.tol and f_egal < best[0]:
-            best = (f_egal, z_egal, max(0.0, -float(c_egal.min())))
+    # egalitarian point once re-verified
+    best = (f(lo), lo, max(0.0, -float(c_low.min())))
+    egal = problem.reference_egal
+    if egal is None:
+        try:
+            egal = float(solve_egalitarian_bisection(nf, options).allocation[0] / nf.s_base)
+        except (Infeasible, NonConvergence):
+            pass
+    starts = [lo.copy()]
+    if egal is not None:
+        z_egal = np.clip(np.full(n, egal), problem.lower, problem.upper)
+        if barg:
+            z_egal = np.append(z_egal, np.max(np.abs(z_egal - z_egal.mean())) if n else 0.0)
+        starts.append(z_egal)
+        _, c_egal = _residual_vector(nf, z_egal[:n], options)
+        if c_egal is not None and c_egal.min() >= -options.tol and f(z_egal) < best[0]:
+            best = (f(z_egal), z_egal, max(0.0, -float(c_egal.min())))
+    starts.append(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)))
+    unique: dict[bytes, np.ndarray] = {}
+    for s in starts[: max(1, options.starts)]:
+        unique.setdefault(np.round(s, 12).tobytes(), s)
 
     outer_total = inner_total = 0
-    any_converged = False
-    for z0 in starts:
-        cand, outer, inner, conv = _run_auglag(model, z0, options)
+    converged = False
+    for z0 in unique.values():
+        z = z0.copy()
+        lam = np.zeros(len(c_low) + 2 * n if barg else len(c_low))
+        rho = _PENALTY0
+        prev_measure = np.inf
+        for outer in range(1, options.max_outer + 1):
+            res = minimize(
+                al_value_grad, z, args=(lam, rho), jac=True, method="L-BFGS-B", bounds=bounds,
+                options={"maxiter": _MAX_INNER, "ftol": 1e-14, "gtol": 1e-10},
+            )
+            z = res.x
+            inner_total += int(res.nit)
+            c = constraints(z)
+            if c is None:
+                rho = min(rho * _PENALTY_GROWTH, 1e10)
+                z = z0.copy()
+                continue
+            viol = max(0.0, -float(c.min()))
+            lam = np.maximum(0.0, lam - rho * c)
+            # stationarity holds by construction after the inner solve; progress
+            # is measured by feasibility plus complementary slackness
+            comp = float(np.max(np.abs(lam * c))) if len(c) else 0.0
+            measure = max(viol, comp)
+            if viol <= options.tol:
+                fval = f(z)
+                pg = float(np.max(np.abs(np.clip(z - (grad_f - weighted_grad(z, lam)), lo, hi) - z)))
+                if fval < best[0]:
+                    best = (fval, z.copy(), max(viol, pg))
+                if comp <= _COMP_TOL and pg <= _PG_TOL:
+                    converged = True
+                    break
+            if measure > prev_measure / _PENALTY_TRIGGER:
+                rho = min(rho * _PENALTY_GROWTH, 1e10)
+            if np.isfinite(measure):
+                prev_measure = min(prev_measure, measure)
         outer_total += outer
-        inner_total += inner
-        any_converged |= conv
-        if cand is not None and cand[0] < best[0]:
-            best = cand
 
     _, z, kkt = best
-    p = model.injections(z)
-    state, c_net = _residual_vector(nf, p, options)  # independent re-verification
+    p = z[:n]
+    _, c_net = _residual_vector(nf, p, options)  # independent re-verification
     if c_net is None or c_net.min() < -options.tol:
-        p = problem.lower
-        _, c_net = _residual_vector(nf, p, options)
-        kkt = np.inf
-        any_converged = False
-    status = "optimal" if any_converged else "max_iter"
+        p, c_net, kkt, converged = problem.lower, c_low, np.inf, False
+    status = "optimal" if converged else "max_iter"
     return _make_solution(nf, p, problem.policy, status, kkt, c_net, (outer_total, inner_total))
-
-
-def _solve_tie_al(problem: HCProblem, options: SolverOptions) -> HCSolution:
-    """AL fallback on the tied scalar variable (non-monotone egalitarian case)."""
-    model = _ALModel(problem, options, tie=True)
-    lo = np.array([model.bounds[0][0]])
-    c0 = model.constraints(lo)
-    if c0 is None or c0.min() < -options.tol:
-        raise Infeasible("baseline (lowest uniform injection) already violates limits")
-    best = (model.objective(lo)[0], lo, max(0.0, -float(c0.min())))
-    cand, outer, inner, conv = _run_auglag(model, lo.copy(), options)
-    if cand is not None and cand[0] < best[0]:
-        best = cand
-    _, z, kkt = best
-    p = model.injections(z)
-    _, c_net = _residual_vector(problem.feeder, p, options)
-    status = "optimal" if conv else "max_iter"
-    return _make_solution(problem.feeder, p, problem.policy, status, kkt, c_net, (outer, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +401,10 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int
         for lo in range(0, len(slab), ORACLE_CHUNK):
             part = slice(lo, lo + ORACLE_CHUNK)
             block, block_q = slab[part], _dg_q(slab[part], options)
-            res = _solve_batch(nf, block, block_q, tol=options.pf_tol, start=(v0[part], t0[part]))
+            res = _solve_batch(nf, block, block_q, start=(v0[part], t0[part]))
             retry = np.flatnonzero(~res.converged & warm[part])
             if len(retry):
-                flat = _solve_batch(nf, block[retry], block_q[retry], tol=options.pf_tol)
+                flat = _solve_batch(nf, block[retry], block_q[retry])
                 for field, value in zip(res, flat):
                     field[retry] = value
             converged[part], v[part], theta[part] = res.converged, res.v, res.theta

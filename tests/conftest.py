@@ -28,8 +28,7 @@ def mk(n, slack, lines, load_buses, v_max=1.05, dg_cap=1.2, s_rated=5.0,
         bus_ids=tuple(f"b{i}" for i in range(n)),
         slack=slack,
         from_bus=frm, to_bus=to, g=r / z2, b=-x / z2,
-        s_rated=np.full(L, float(s_rated)), length_m=np.full(L, 100.0),
-        u_nom=np.full(L, 1.0),
+        s_rated=np.full(L, float(s_rated)),
         v_min=np.full(n, v_min), v_max=np.full(n, v_max),
         dtheta_min=np.full(n, -dtheta), dtheta_max=np.full(n, dtheta),
         load_bus=lb,

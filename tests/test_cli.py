@@ -87,6 +87,8 @@ class TestSolve:
         assert payload["hc_total_kw"] > 0
         assert len(payload["allocation_kw"]) == 2
         assert payload["manifest"]["policy"] == policy
+        assert set(payload["manifest"]["solver_options"]) == {
+            "tol", "max_outer", "starts", "grid_steps", "power_factor"}
 
     def test_infeasible_exits_1(self, infeasible_path):
         assert main(["solve", infeasible_path, "--policy", "utilitarian"]) == EXIT_INFEASIBLE

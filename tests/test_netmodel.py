@@ -12,7 +12,6 @@ from fairhc.netmodel import (
     GridConnection,
     Line,
     Load,
-    denormalize,
     electrical_distance,
     feeder_stats,
     parse_feeder,
@@ -195,16 +194,24 @@ class TestPerUnit:
         assert nf.p_demand == pytest.approx([0.02, 0.02])
         assert nf.dg_cap == pytest.approx(5.0)
 
+    @staticmethod
+    def _assert_scales_back(feeder, rel):
+        """The per-unit values times their bases give the SI inputs back."""
+        nf = to_per_unit(feeder)
+        zb = z_base_ohm(feeder.s_base, feeder.v_base)
+        z2 = nf.g**2 + nf.b**2
+        for l, ln in enumerate(feeder.lines):
+            assert nf.g[l] / z2[l] * zb == pytest.approx(ln.resistance, rel=rel)
+            assert -nf.b[l] / z2[l] * zb == pytest.approx(ln.reactance, rel=rel, abs=1e-12)
+            assert nf.s_rated[l] * feeder.s_base * 1000.0 / ln.nominal_voltage == pytest.approx(
+                ln.rated_current, rel=1e-12)
+        for d, ld in enumerate(feeder.loads):
+            assert nf.p_demand[d] * nf.s_base == pytest.approx(ld.p_demand, rel=1e-12)
+            assert nf.q_demand[d] * nf.s_base == pytest.approx(ld.q_demand, rel=1e-12)
+        assert nf.dg_cap * nf.s_base == pytest.approx(feeder.dg_cap, rel=1e-12)
+
     def test_round_trip(self):
-        feeder = parse_feeder(json.dumps(feeder_dict()))
-        back = denormalize(to_per_unit(feeder))
-        for orig, rec in zip(feeder.lines, back.lines):
-            assert rec.resistance == pytest.approx(orig.resistance, rel=1e-12)
-            assert rec.reactance == pytest.approx(orig.reactance, rel=1e-12)
-            assert rec.rated_current == pytest.approx(orig.rated_current, rel=1e-12)
-        for orig, rec in zip(feeder.loads, back.loads):
-            assert rec.p_demand == pytest.approx(orig.p_demand, rel=1e-12)
-        assert back.dg_cap == pytest.approx(feeder.dg_cap, rel=1e-12)
+        self._assert_scales_back(parse_feeder(json.dumps(feeder_dict())), rel=1e-12)
 
     @given(
         r=st.floats(0.001, 10.0),
@@ -213,15 +220,12 @@ class TestPerUnit:
         v_base=st.floats(100.0, 20000.0),
     )
     def test_round_trip_property(self, r, x, s_base, v_base):
-        feeder = _feeder(
+        self._assert_scales_back(_feeder(
             [Bus("slack", "slack"), Bus("a", "load")],
             [_line("slack", "a", r=r, x=x, u=v_base)],
             [Load("a", 1.0, 0.2)],
             s_base=s_base, v_base=v_base,
-        )
-        back = denormalize(to_per_unit(feeder))
-        assert back.lines[0].resistance == pytest.approx(r, rel=1e-9)
-        assert back.lines[0].reactance == pytest.approx(x, rel=1e-9, abs=1e-12)
+        ), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from fairhc import solver
 from fairhc.errors import Infeasible, TooManyLoads
 from fairhc.formulation import FairnessPolicy, build_problem
+from fairhc.netmodel import parse_feeder, serialize_feeder, to_per_unit
 from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
 from fairhc.solver import (
     HCSolution,
@@ -15,6 +16,7 @@ from fairhc.solver import (
     solve_nlp_al,
     solve_references,
 )
+from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import make_br4, make_lin3, make_star3, make_two_bus, mk
 
@@ -37,10 +39,19 @@ class TestEgalitarianBisection:
         assert sol.hc_total == pytest.approx(1.05, abs=1e-4)
         assert sol.status == "optimal"
 
-    def test_cap_binds(self):
+    def test_cap_binds(self, monkeypatch):
         nf = make_two_bus(dg_cap=0.25)
+        solves = []
+        real = solver.solve_power_flow
+
+        def spy(nf, dg, *args, **kwargs):
+            solves.append(float(dg[0]))
+            return real(nf, dg, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_power_flow", spy)
         sol = solve_egalitarian_bisection(nf)
         assert sol.allocation == pytest.approx([0.25])
+        assert solves.count(0.25) == 1  # the probe at the cap is not solved again
 
     def test_infeasible_baseline(self):
         nf = mk(2, 0, [(0, 1, 0.05, 0.0)], [1], p_demand=3.0, q_demand=0.0)
@@ -56,6 +67,24 @@ class TestEgalitarianBisection:
         sol = solve_egalitarian_bisection(lin3)
         prob = build_problem(lin3, FairnessPolicy.egalitarian())
         assert_solution_invariants(sol, prob)
+
+    def test_non_monotone_bisects_above_highest_feasible_probe(self, lin3, monkeypatch):
+        # feasible on [0, 0.3] and [0.6, 0.7] pu, infeasible elsewhere; the
+        # prescan probes every 0.15 pu of the 1.2 pu box
+        probed = []
+
+        def fake(nf, dg, options):
+            t = float(dg[0])
+            probed.append(t)
+            ok = t <= 0.3 or 0.6 <= t <= 0.7
+            return None, np.array([0.1 if ok else -0.1])
+
+        monkeypatch.setattr(solver, "_residual_vector", fake)
+        sol = solve_egalitarian_bisection(lin3)
+        t = float(sol.allocation[0])
+        assert 0.7 - solver._BISECT_TOL <= t <= 0.7
+        assert probed[-1] == t  # re-verified at the reported point
+        assert sol.status == "optimal"
 
 
 class TestAugmentedLagrangian:
@@ -94,6 +123,39 @@ class TestAugmentedLagrangian:
         assert sol.disparity is not None
         p = sol.allocation
         assert sol.disparity == pytest.approx(float(np.max(np.abs(p - p.mean()))), abs=1e-6)
+
+
+# (outer, inner) iterations and allocation (float.hex, kW) of the augmented
+# Lagrangian; any change to its floating-point path moves them
+AL_PINS = {
+    ("lin3", "utilitarian"): ((24, 70), ["0x1.27c7f127e733dp+0", "0x0.0p+0"]),
+    ("lin3", "bargaining"): ((150, 468), ["0x1.9a1d0ccccccccp-2"] * 2),
+    ("br4", "utilitarian"): ((27, 103), ["0x1.3333333333333p+0", "0x1.f21cf4a7722edp-9",
+                                         "0x1.f21cf4a77235dp-9"]),
+    ("br4", "bargaining"): ((27, 135), ["0x1.4195b33333332p-2"] * 3),
+}
+
+
+@pytest.mark.parametrize("feeder, variant", list(AL_PINS))
+def test_al_path_pinned(feeder, variant):
+    nf = {"lin3": make_lin3, "br4": make_br4}[feeder]()
+    policy = FairnessPolicy.utilitarian() if variant == "utilitarian" else FairnessPolicy.bargaining(0.5)
+    sol = solve_nlp_al(build_problem(nf, policy))
+    iterations, allocation = AL_PINS[feeder, variant]
+    assert sol.iterations == iterations
+    assert sol.allocation.tolist() == [float.fromhex(h) for h in allocation]
+
+
+@pytest.mark.xfail(strict=True, reason="the augmented Lagrangian stops at a local optimum "
+                   "(120.014 kW, status optimal) below a feasible 120.12 kW allocation")
+def test_al_reaches_known_feasible_allocation():
+    spec = SynthSpec(5, "linear", 250.0, conductor=Conductor(i_rated_a=500.0))
+    nf = to_per_unit(parse_feeder(serialize_feeder(generate_feeder(spec))))
+    known = np.array([102.59, 17.53, 0.0, 0.0, 0.0])
+    state = solve_power_flow(nf, known / nf.s_base)
+    assert constraint_residuals(state, nf).min() > 0.0
+    sol = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()))
+    assert sol.hc_total >= known.sum()
 
 
 class TestDispatch:
@@ -198,7 +260,7 @@ def flat_oracle(problem, steps, options=OPTS):
         axes = np.meshgrid(*(np.linspace(lo, hi, steps) for lo, hi in zip(problem.lower, problem.upper)),
                            indexing="ij")
         pts = np.stack([a.ravel() for a in axes], axis=1)
-    res = _solve_batch(nf, pts, np.zeros_like(pts), tol=options.pf_tol)
+    res = _solve_batch(nf, pts, np.zeros_like(pts))
     feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
     vals = np.where(feas, problem.objective(pts), -np.inf)
     return pts[int(np.argmax(vals))] * nf.s_base
