@@ -9,7 +9,7 @@ import numpy as np
 from fairhc.formulation import FairnessPolicy, build_problem, policy_string
 from fairhc.kpi import gini, price_of_fairness
 from fairhc.netmodel import to_per_unit
-from fairhc.solver import SolverOptions, solve_hc, solve_references
+from fairhc.solver import solve_hc, solve_references
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 
@@ -17,9 +17,8 @@ def main():
     spec = SynthSpec(n_loads=5, layout="linear", trunk_len_m=250.0,
                      conductor=Conductor(i_rated_a=500.0))
     nf = to_per_unit(generate_feeder(spec))
-    options = SolverOptions()
 
-    refs, uti, _ = solve_references(nf, options)
+    refs, uti, _ = solve_references(nf)
 
     policies = [
         FairnessPolicy.utilitarian(),
@@ -29,7 +28,7 @@ def main():
     ]
     print(f"{'policy':28s} {'HC [kW]':>10s} {'PoF':>7s} {'Gini':>7s}   allocation [kW]")
     for policy in policies:
-        sol = solve_hc(build_problem(nf, policy, refs), options)
+        sol = solve_hc(build_problem(nf, policy, refs))
         pof = price_of_fairness(uti.hc_total, sol.hc_total)
         g = gini(sol.allocation) if sol.allocation.sum() > 0 else 0.0
         alloc = np.array2string(sol.allocation, precision=1, floatmode="fixed")

@@ -6,7 +6,6 @@ best balances efficiency loss against inequality.
 """
 from fairhc.netmodel import to_per_unit
 from fairhc.pareto import frontier_to_csv, knee_point, pareto_filter, sweep
-from fairhc.solver import SolverOptions
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 
@@ -15,8 +14,7 @@ def main():
                      conductor=Conductor(i_rated_a=500.0))
     nf = to_per_unit(generate_feeder(spec))
 
-    frontier = sweep(nf, "bargaining", steps=11, options=SolverOptions(),
-                     feeder_id="linear-4")
+    frontier = sweep(nf, "bargaining", steps=11, feeder_id="linear-4")
     print(frontier_to_csv(frontier))
 
     nondominated = pareto_filter(frontier.points)

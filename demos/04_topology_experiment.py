@@ -7,7 +7,6 @@ policy because its deepest bus throttles every load equally.
 """
 import json
 
-from fairhc.solver import SolverOptions
 from fairhc.synth import Conductor, SynthSpec, topology_experiment
 
 
@@ -19,7 +18,7 @@ def main():
                          branch_len_m=30.0, conductor=conductor)
     assert linear.total_length_m == branched.total_length_m
 
-    report = topology_experiment(linear, branched, SolverOptions())
+    report = topology_experiment(linear, branched)
     print(json.dumps(report.to_dict(), indent=2))
     print(f"\negalitarian price of fairness: linear {report.linear.pof_egal:.2f} "
           f"vs branched {report.branched.pof_egal:.2f}"

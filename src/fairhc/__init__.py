@@ -37,7 +37,6 @@ from .pareto import Frontier, ParetoPoint, frontier_to_csv, knee_point, pareto_f
 from .powerflow import ConstraintResiduals, PowerFlowState, adjoint_gradient, constraint_residuals, solve_power_flow
 from .solver import (
     HCSolution,
-    SolverOptions,
     brute_force_oracle,
     brute_force_oracle_batch,
     solve_egalitarian_bisection,

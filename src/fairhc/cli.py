@@ -38,7 +38,7 @@ from .kpi import gini
 from .netmodel import feeder_stats, parse_feeder, serialize_feeder, to_per_unit
 from .pareto import frontier_to_csv, knee_point, points_from_csv, sweep
 from .powerflow import constraint_residuals, solve_power_flow
-from .solver import SolverOptions, brute_force_oracle, solve_hc, solve_references
+from .solver import GRID_STEPS, brute_force_oracle, solve_hc, solve_references
 from .synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
 log = logging.getLogger("fairhc")
@@ -58,7 +58,6 @@ class RunManifest:
     command: str
     feeder_sha256: str | None
     policy: str | None
-    solver_options: dict
     version: str
     timestamp: str
 
@@ -69,14 +68,12 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _manifest(args, feeder_text: str | None = None, policy: str | None = None,
-              options: SolverOptions | None = None) -> dict:
+def _manifest(args, feeder_text: str | None = None, policy: str | None = None) -> dict:
     digest = hashlib.sha256(feeder_text.encode()).hexdigest() if feeder_text else None
     return asdict(RunManifest(
         command=" ".join(args.argv),
         feeder_sha256=digest,
         policy=policy,
-        solver_options=asdict(options) if options else {},
         version=__version__,
         timestamp=_timestamp(),
     ))
@@ -113,15 +110,6 @@ def _read_feeder(path: str) -> tuple[str, "Feeder"]:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return text, parse_feeder(text)
-
-
-def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions()
-    for name in ("tol", "max_outer", "starts", "grid_steps"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(opts, name, value)
-    return opts
 
 
 def _solution_dict(sol) -> dict:
@@ -190,22 +178,20 @@ def _cmd_solve(args) -> int:
     text, feeder = _read_feeder(args.feeder)
     nf = to_per_unit(feeder)
     policy = parse_policy(args.policy)
-    options = _solver_options(args)
-    refs = solve_references(nf, options)[0] if policy.variant == "bounded" else None
+    refs = solve_references(nf)[0] if policy.variant == "bounded" else None
     problem = build_problem(nf, policy, refs)
     if args.oracle:
-        sol = brute_force_oracle(problem, options=options)
+        sol = brute_force_oracle(problem, args.grid_steps)
     else:
-        sol = solve_hc(problem, options)
-    _dump(args, _solution_dict(sol), _manifest(args, text, args.policy, options))
+        sol = solve_hc(problem)
+    _dump(args, _solution_dict(sol), _manifest(args, text, args.policy))
     return EXIT_OK if sol.status in ("optimal", "max_iter") else EXIT_SOLVER
 
 
 def _cmd_pareto(args) -> int:
     text, feeder = _read_feeder(args.feeder)
-    options = _solver_options(args)
-    frontier = sweep(feeder, args.family, steps=args.steps, options=options,
-                     jobs=args.jobs, feeder_id=args.feeder)
+    frontier = sweep(feeder, args.family, steps=args.steps, jobs=args.jobs,
+                     feeder_id=args.feeder)
     _emit(args, frontier_to_csv(frontier))
     return EXIT_OK
 
@@ -250,19 +236,12 @@ def _cmd_experiment(args) -> int:
     )
     linear = dataclasses.replace(branched, layout="linear",
                                  trunk_len_m=branched.total_length_m)
-    report = topology_experiment(linear, branched, _solver_options(args))
+    report = topology_experiment(linear, branched)
     _dump(args, report.to_dict(), _manifest(args))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="constraint tolerance, pu")
-    p.add_argument("--max-outer", dest="max_outer", type=int, default=None)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--grid-steps", dest="grid_steps", type=int, default=None)
-
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-loads", dest="n_loads", type=int, default=10)
@@ -303,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True,
                    help='utilitarian | egalitarian | "bounded:alpha=A,beta=B" | "bargaining:k=K"')
     p.add_argument("--oracle", action="store_true", help="use the brute-force grid oracle")
+    p.add_argument("--grid-steps", dest="grid_steps", type=int, default=GRID_STEPS,
+                   help="oracle grid points per load")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("pareto", help="fairness-parameter sweep to frontier CSV")
@@ -314,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("knee", help="knee point of a frontier CSV")
@@ -332,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="matched linear-vs-branched topology comparison")
     p.add_argument("--out", default=None)
     _add_synth_flags(p)
-    _add_solver_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -90,13 +90,12 @@ class References:
 
 @dataclass(frozen=True)
 class HCProblem:
-    """Box, tying flag and objective spec for one hosting-capacity solve."""
+    """Box and objective spec for one hosting-capacity solve."""
 
     feeder: NormalizedFeeder
     policy: FairnessPolicy
     lower: np.ndarray  # (D,) pu
     upper: np.ndarray  # (D,) pu
-    tie: bool  # all allocations forced equal
     reference_egal: float | None = None
 
     def __post_init__(self):
@@ -106,6 +105,11 @@ class HCProblem:
     @property
     def n_loads(self) -> int:
         return self.feeder.n_loads
+
+    @property
+    def tie(self) -> bool:
+        """All allocations forced equal (the egalitarian policy)."""
+        return self.policy.variant == "egalitarian"
 
     def objective(self, p: np.ndarray) -> float | np.ndarray:
         """Value to maximize at allocation ``p`` (pu), loads on the last axis.
@@ -126,7 +130,6 @@ def build_problem(nf: NormalizedFeeder, policy: FairnessPolicy,
     n = nf.n_loads
     if policy.variant != "bounded":
         return HCProblem(nf, policy, np.zeros(n), np.full(n, nf.dg_cap),
-                         tie=policy.variant == "egalitarian",
                          reference_egal=refs.egal_per_load if refs is not None else None)
     if refs is None:
         raise MissingReference("bounded policy needs egalitarian and utilitarian references")
@@ -134,4 +137,4 @@ def build_problem(nf: NormalizedFeeder, policy: FairnessPolicy,
     span = float(np.max(refs.uti_allocation)) - p_egal
     lower = np.full(n, policy.alpha * p_egal)
     upper = np.full(n, p_egal + policy.beta * max(span, 0.0))
-    return HCProblem(nf, policy, lower, upper, tie=False, reference_egal=p_egal)
+    return HCProblem(nf, policy, lower, upper, reference_egal=p_egal)

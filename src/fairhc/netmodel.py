@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,18 +66,6 @@ class Line:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: rated_current must be > 0")
         if self.nominal_voltage <= 0:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: nominal_voltage must be > 0")
-
-    @property
-    def conductance(self) -> float:
-        """Series g = r / (r^2 + x^2), in siemens."""
-        z2 = self.resistance**2 + self.reactance**2
-        return self.resistance / z2
-
-    @property
-    def susceptance(self) -> float:
-        """Series b = -x / (r^2 + x^2), in siemens."""
-        z2 = self.resistance**2 + self.reactance**2
-        return -self.reactance / z2
 
     @property
     def impedance_abs(self) -> float:

@@ -19,7 +19,7 @@ from .errors import DegenerateFrontier, FairHCError, Infeasible
 from .formulation import FairnessPolicy, References, build_problem
 from .kpi import gini, price_of_fairness
 from .netmodel import Feeder, NormalizedFeeder, to_per_unit
-from .solver import HCSolution, SolverOptions, solve_hc, solve_references
+from .solver import HCSolution, solve_hc, solve_references
 
 FAMILIES = ("bounded_lower", "bounded_upper", "bargaining")
 
@@ -55,10 +55,10 @@ def _policy_for(family: str, param: float) -> FairnessPolicy:
 
 
 def _solve_point(nf: NormalizedFeeder, family: str, param: float, refs: References,
-                 hc_uti: float, options: SolverOptions) -> ParetoPoint:
+                 hc_uti: float) -> ParetoPoint:
     policy = _policy_for(family, param)
     try:
-        sol = solve_hc(build_problem(nf, policy, refs), options)
+        sol = solve_hc(build_problem(nf, policy, refs))
     except FairHCError:
         return ParetoPoint(family, param, math.nan, math.nan, math.nan, "failed")
     with warnings.catch_warnings():
@@ -74,8 +74,7 @@ def _sort_points(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(finite, key=lambda p: (p.gini, p.pof)) + failed
 
 
-def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21,
-          options: SolverOptions | None = None, jobs: int = 1,
+def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs: int = 1,
           feeder_id: str = "feeder") -> Frontier:
     """Solve one HC problem per evenly spaced parameter in [0, 1] plus both endpoints.
 
@@ -86,9 +85,8 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21,
         raise ValueError("steps must be >= 2")
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
-    options = options or SolverOptions()
     nf = to_per_unit(feeder) if isinstance(feeder, Feeder) else feeder
-    refs, uti, egal = solve_references(nf, options)
+    refs, uti, egal = solve_references(nf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         points = [
@@ -101,12 +99,11 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21,
     params = np.linspace(0.0, 1.0, steps)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_point, nf, family, float(t), refs,
-                                   uti.hc_total, options) for t in params]
+            futures = [pool.submit(_solve_point, nf, family, float(t), refs, uti.hc_total)
+                       for t in params]
             points += [f.result() for f in futures]
     else:
-        points += [_solve_point(nf, family, float(t), refs, uti.hc_total, options)
-                   for t in params]
+        points += [_solve_point(nf, family, float(t), refs, uti.hc_total) for t in params]
 
     return Frontier(feeder_id=feeder_id, points=_sort_points(points),
                     uti_ref=uti, egal_ref=egal)

@@ -18,10 +18,13 @@ Two routes, and an oracle that checks them:
 
 ``solve_references`` gives the utilitarian/egalitarian pair that the bounded
 policy and the frontier sweeps start from.
+
+DG injects active power only (unity power factor); the adjoint gradient is
+taken with respect to the active injections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -39,9 +42,11 @@ from .powerflow import (
 )
 
 FEAS_TOL = 1e-6  # pu; residual >= -FEAS_TOL counts as satisfied
+GRID_STEPS = 201  # default oracle resolution per dimension
 ORACLE_CHUNK = 1 << 14  # grid points per batched Newton solve; keeps its arrays in cache
 _BINDING_TOL = 1e-5
 _FAIL_PENALTY = 1e6
+_MAX_OUTER = 50  # augmented-Lagrangian passes per start
 _MAX_INNER = 120  # L-BFGS-B iterations per outer pass
 _PENALTY0 = 10.0
 _PENALTY_GROWTH = 10.0
@@ -49,15 +54,6 @@ _PENALTY_TRIGGER = 4.0  # grow penalty unless violation shrank by this factor
 _PG_TOL = 1e-6  # projected-gradient stationarity target
 _COMP_TOL = 1e-8  # complementary-slackness target, max_i |lambda_i c_i|
 _BISECT_TOL = 1e-6  # pu bracket width
-
-
-@dataclass
-class SolverOptions:
-    tol: float = FEAS_TOL  # constraint-violation tolerance, pu
-    max_outer: int = 50
-    starts: int = 3
-    grid_steps: int = 201  # oracle resolution per dimension
-    power_factor: float | None = None  # DG power factor; None = unity (no reactive)
 
 
 @dataclass
@@ -72,17 +68,10 @@ class HCSolution:
     disparity: float | None = None  # kW, bargaining only
 
 
-def _dg_q(dg: np.ndarray, options: SolverOptions) -> np.ndarray:
-    pf = options.power_factor
-    if pf is None:
-        return np.zeros_like(dg)
-    return dg * np.sqrt(max(0.0, 1.0 - pf * pf)) / pf
-
-
-def _residual_vector(nf: NormalizedFeeder, dg: np.ndarray, options: SolverOptions):
+def _residual_vector(nf: NormalizedFeeder, dg: np.ndarray):
     """(state, residual vector) at ``dg``; None on power-flow failure."""
     try:
-        state = solve_power_flow(nf, dg, _dg_q(dg, options))
+        state = solve_power_flow(nf, dg)
     except (NonConvergence, SingularJacobian):
         return None, None
     return state, constraint_residuals(state, nf).as_vector()
@@ -115,70 +104,67 @@ def _make_solution(nf: NormalizedFeeder, p: np.ndarray, policy: FairnessPolicy,
 # Egalitarian bisection
 # ---------------------------------------------------------------------------
 
-def solve_egalitarian_bisection(nf: NormalizedFeeder, options: SolverOptions | None = None,
-                                t_min: float = 0.0, t_max: float | None = None,
+def solve_egalitarian_bisection(nf: NormalizedFeeder,
                                 policy: FairnessPolicy | None = None) -> HCSolution:
-    """Largest uniform per-load injection keeping all residuals >= -tol.
+    """Largest uniform per-load injection in [0, dg_cap] keeping all residuals >= -FEAS_TOL.
 
     Assumes the binding constraint is monotone in the uniform injection.  A
     coarse prescan brackets the answer; where it finds feasibility is not
-    monotone, the bisection runs above the highest feasible probe.
+    monotone, the bisection runs above the highest feasible probe.  The
+    reported point is the highest feasible probe, so it is verified by the
+    very power flow that accepted it.
     """
-    options = options or SolverOptions()
     policy = policy or FairnessPolicy.egalitarian()
-    t_hi = nf.dg_cap if t_max is None else t_max
     n = nf.n_loads
 
     def residuals(t: float) -> np.ndarray | None:
-        return _residual_vector(nf, np.full(n, t), options)[1]
+        return _residual_vector(nf, np.full(n, t))[1]
 
     def feasible(c: np.ndarray | None) -> bool:
-        return c is not None and c.min() >= -options.tol
+        return c is not None and c.min() >= -FEAS_TOL
 
-    if not feasible(residuals(t_min)):
+    c_lo = residuals(0.0)
+    if not feasible(c_lo):
         raise Infeasible("baseline (lowest uniform injection) already violates limits")
-    c = residuals(t_hi)
+    c = residuals(nf.dg_cap)
     if feasible(c):
-        return _make_solution(nf, np.full(n, t_hi), policy, "optimal", max(0.0, -c.min()), c, (1, 0))
+        return _make_solution(nf, np.full(n, nf.dg_cap), policy, "optimal", max(0.0, -c.min()), c, (1, 0))
 
     # prescan; its endpoints are the two probes above
-    probes = np.linspace(t_min, t_hi, 9)
-    flags = [True, *(feasible(residuals(t)) for t in probes[1:-1]), False]
-    k = max(i for i, ok in enumerate(flags) if ok)
-    lo, hi = probes[k], probes[k + 1]
+    probes = np.linspace(0.0, nf.dg_cap, 9)
+    checks = [c_lo, *(residuals(t) for t in probes[1:-1])]
+    k = max(i for i, c in enumerate(checks) if feasible(c))
+    lo, hi, c_lo = probes[k], probes[k + 1], checks[k]
 
     outer = 0
     while hi - lo > _BISECT_TOL:
         outer += 1
         mid = 0.5 * (lo + hi)
-        if feasible(residuals(mid)):
-            lo = mid
+        c = residuals(mid)
+        if feasible(c):
+            lo, c_lo = mid, c
         else:
             hi = mid
-    p = np.full(n, lo)
-    _, c = _residual_vector(nf, p, options)  # independent re-verification
-    if c is None or c.min() < -options.tol:
-        raise NonConvergence("bisection endpoint failed re-verification")
-    return _make_solution(nf, p, policy, "optimal", max(0.0, -float(c.min())), c, (outer, 0))
+    return _make_solution(nf, np.full(n, lo), policy, "optimal", max(0.0, -float(c_lo.min())), c_lo,
+                          (outer, 0))
 
 
 # ---------------------------------------------------------------------------
 # Augmented Lagrangian
 # ---------------------------------------------------------------------------
 
-def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HCSolution:
+def solve_nlp_al(problem: HCProblem) -> HCSolution:
     """Augmented-Lagrangian solve with deterministic multi-start.
 
     The decision vector is the injections, and for bargaining also the
     disparity ``d``, with two epigraph inequalities per load.  Each start runs
-    up to ``max_outer`` passes of L-BFGS-B on the augmented Lagrangian.  The
+    up to ``_MAX_OUTER`` passes of L-BFGS-B on the augmented Lagrangian.  The
     lower bound and the re-verified egalitarian point are fallback candidates,
     which keeps hc_uti >= hc_egal.
 
     Raises :class:`Infeasible` when the lower-bound point already violates the
-    operational limits (tolerance ``options.tol``).
+    operational limits (tolerance ``FEAS_TOL``).
     """
-    options = options or SolverOptions()
     nf = problem.feeder
     n = problem.n_loads
     barg = problem.policy.variant == "bargaining"
@@ -191,8 +177,8 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
         grad_f = np.full(n, -1.0)
     bounds = list(zip(lo.tolist(), hi.tolist()))
 
-    state_low, c_low = _residual_vector(nf, problem.lower, options)
-    if c_low is None or c_low.min() < -options.tol:
+    state_low, c_low = _residual_vector(nf, problem.lower)
+    if c_low is None or c_low.min() < -FEAS_TOL:
         raise Infeasible("lower-bound allocation already violates operational limits")
 
     def f(z: np.ndarray) -> float:
@@ -207,7 +193,7 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
         key = z.tobytes()
         hit = cache.get(key)
         if hit is None:
-            hit = _residual_vector(nf, z[:n], options)
+            hit = _residual_vector(nf, z[:n])
             if len(cache) > 64:
                 cache.clear()
             cache[key] = hit
@@ -226,7 +212,7 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
         nc = len(c_net)
         out = np.zeros(len(z))
         if np.any(w[:nc] != 0.0):
-            out[:n] += adjoint_gradient(nf, z[:n], w[:nc], dg_q=_dg_q(z[:n], options), state=state)
+            out[:n] += adjoint_gradient(nf, z[:n], w[:nc], state=state)
         if barg:
             w1, w2 = w[nc: nc + n], w[nc + n:]
             out[:n] += -w1 + w1.sum() / n
@@ -249,8 +235,8 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
     egal = problem.reference_egal
     if egal is None:
         try:
-            egal = float(solve_egalitarian_bisection(nf, options).allocation[0] / nf.s_base)
-        except (Infeasible, NonConvergence):
+            egal = float(solve_egalitarian_bisection(nf).allocation[0] / nf.s_base)
+        except Infeasible:
             pass
     starts = [lo.copy()]
     if egal is not None:
@@ -258,12 +244,12 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
         if barg:
             z_egal = np.append(z_egal, np.max(np.abs(z_egal - z_egal.mean())) if n else 0.0)
         starts.append(z_egal)
-        _, c_egal = _residual_vector(nf, z_egal[:n], options)
-        if c_egal is not None and c_egal.min() >= -options.tol and f(z_egal) < best[0]:
+        _, c_egal = _residual_vector(nf, z_egal[:n])
+        if c_egal is not None and c_egal.min() >= -FEAS_TOL and f(z_egal) < best[0]:
             best = (f(z_egal), z_egal, max(0.0, -float(c_egal.min())))
     starts.append(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)))
     unique: dict[bytes, np.ndarray] = {}
-    for s in starts[: max(1, options.starts)]:
+    for s in starts:
         unique.setdefault(np.round(s, 12).tobytes(), s)
 
     outer_total = inner_total = 0
@@ -273,7 +259,7 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
         lam = np.zeros(len(c_low) + 2 * n if barg else len(c_low))
         rho = _PENALTY0
         prev_measure = np.inf
-        for outer in range(1, options.max_outer + 1):
+        for outer in range(1, _MAX_OUTER + 1):
             res = minimize(
                 al_value_grad, z, args=(lam, rho), jac=True, method="L-BFGS-B", bounds=bounds,
                 options={"maxiter": _MAX_INNER, "ftol": 1e-14, "gtol": 1e-10},
@@ -291,7 +277,7 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
             # is measured by feasibility plus complementary slackness
             comp = float(np.max(np.abs(lam * c))) if len(c) else 0.0
             measure = max(viol, comp)
-            if viol <= options.tol:
+            if viol <= FEAS_TOL:
                 fval = f(z)
                 pg = float(np.max(np.abs(np.clip(z - (grad_f - weighted_grad(z, lam)), lo, hi) - z)))
                 if fval < best[0]:
@@ -307,8 +293,8 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
 
     _, z, kkt = best
     p = z[:n]
-    _, c_net = _residual_vector(nf, p, options)  # independent re-verification
-    if c_net is None or c_net.min() < -options.tol:
+    _, c_net = _residual_vector(nf, p)  # independent re-verification
+    if c_net is None or c_net.min() < -FEAS_TOL:
         p, c_net, kkt, converged = problem.lower, c_low, np.inf, False
     status = "optimal" if converged else "max_iter"
     return _make_solution(nf, p, problem.policy, status, kkt, c_net, (outer_total, inner_total))
@@ -318,38 +304,38 @@ def solve_nlp_al(problem: HCProblem, options: SolverOptions | None = None) -> HC
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def solve_hc(problem: HCProblem, options: SolverOptions | None = None) -> HCSolution:
+def solve_hc(problem: HCProblem) -> HCSolution:
     """Solve one hosting-capacity problem, dispatching per policy."""
-    options = options or SolverOptions()
     nf = problem.feeder
     policy = problem.policy
     if problem.tie:
-        return solve_egalitarian_bisection(
-            nf, options, t_min=float(problem.lower.max()),
-            t_max=float(problem.upper.min()), policy=policy,
-        )
+        return solve_egalitarian_bisection(nf, policy)
     if policy.variant == "bargaining" and policy.k == 0.0:
         # K=0 is degenerate (any uniform point zeroes the disparity); report the
         # egalitarian solution as its canonical representative.
-        sol = solve_egalitarian_bisection(nf, options, policy=policy)
+        sol = solve_egalitarian_bisection(nf, policy)
         sol.disparity = 0.0
         return sol
     if np.all(problem.upper - problem.lower <= 1e-12):
         p = problem.lower.copy()
-        _, c = _residual_vector(nf, p, options)
-        if c is None or c.min() < -options.tol:
+        _, c = _residual_vector(nf, p)
+        if c is None or c.min() < -FEAS_TOL:
             raise Infeasible("degenerate box is infeasible")
         return _make_solution(nf, p, policy, "optimal", max(0.0, -float(c.min())), c, (1, 0))
-    return solve_nlp_al(problem, options)
+    return solve_nlp_al(problem)
 
 
-def solve_references(nf: NormalizedFeeder, options: SolverOptions | None = None
-                     ) -> tuple[References, HCSolution, HCSolution]:
-    """Utilitarian and egalitarian solves, and the :class:`References` the bounded policy needs."""
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), options)
-    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()), options)
-    refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
-                      uti_allocation=uti.allocation / nf.s_base)
+def solve_references(nf: NormalizedFeeder) -> tuple[References, HCSolution, HCSolution]:
+    """Utilitarian and egalitarian solves, and the :class:`References` the bounded policy needs.
+
+    The egalitarian point is solved first and handed to the utilitarian
+    solve as its start, so the pair costs one bisection.
+    """
+    egal = solve_hc(build_problem(nf, FairnessPolicy.egalitarian()))
+    egal_per_load = float(egal.allocation[0]) / nf.s_base
+    uti_problem = build_problem(nf, FairnessPolicy.utilitarian())
+    uti = solve_hc(replace(uti_problem, reference_egal=egal_per_load))
+    refs = References(egal_per_load=egal_per_load, uti_allocation=uti.allocation / nf.s_base)
     return refs, uti, egal
 
 
@@ -386,8 +372,8 @@ def _slab_start(history: list[tuple], shape: tuple[int, int]):
     return v, theta, warm
 
 
-def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int,
-           options: SolverOptions) -> list[np.ndarray | None]:
+def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray,
+           n_slabs: int) -> list[np.ndarray | None]:
     """First best feasible point of ``pts`` for each objective (None if there is
     none), sweeping ``n_slabs`` slabs along the first load; one slab is a plain
     flat-start sweep."""
@@ -400,7 +386,8 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int
         v, theta = np.empty_like(v0), np.empty_like(t0)
         for lo in range(0, len(slab), ORACLE_CHUNK):
             part = slice(lo, lo + ORACLE_CHUNK)
-            block, block_q = slab[part], _dg_q(slab[part], options)
+            block = slab[part]
+            block_q = np.zeros_like(block)
             res = _solve_batch(nf, block, block_q, start=(v0[part], t0[part]))
             retry = np.flatnonzero(~res.converged & warm[part])
             if len(retry):
@@ -408,7 +395,7 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int
                 for field, value in zip(res, flat):
                     field[retry] = value
             converged[part], v[part], theta[part] = res.converged, res.v, res.theta
-            feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
+            feas = res.converged & (residual_min_batch(nf, res) >= -FEAS_TOL)
             if not feas.any():
                 continue
             for mi, objective in enumerate(objectives):
@@ -421,18 +408,17 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray, n_slabs: int
     return best_p
 
 
-def brute_force_oracle(problem: HCProblem, grid_steps: int | None = None,
-                       options: SolverOptions | None = None) -> HCSolution:
+def brute_force_oracle(problem: HCProblem, grid_steps: int = GRID_STEPS) -> HCSolution:
     """Exhaustive grid search over the policy box; feasibility via full power flow.
 
     Independent of the AL route: batched Newton solves plus direct residual
     evaluation, no adjoints and no penalties.
     """
-    return brute_force_oracle_batch([problem], grid_steps, options)[0]
+    return brute_force_oracle_batch([problem], grid_steps)[0]
 
 
-def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None = None,
-                             options: SolverOptions | None = None) -> list[HCSolution]:
+def brute_force_oracle_batch(problems: list[HCProblem],
+                             grid_steps: int = GRID_STEPS) -> list[HCSolution]:
     """Grid-search several policies on one feeder.
 
     Policies whose search boxes coincide (e.g. utilitarian and bargaining)
@@ -451,8 +437,6 @@ def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None =
     with one free axis (a tied or a one-load problem) is a single slab from a
     flat start.
     """
-    options = options or SolverOptions()
-    steps = grid_steps or options.grid_steps
     if not problems:
         return []
     nf = problems[0].feeder
@@ -470,16 +454,16 @@ def brute_force_oracle_batch(problems: list[HCProblem], grid_steps: int | None =
     out: list[HCSolution | None] = [None] * len(problems)
     for members in groups.values():
         first = problems[members[0]]
-        pts = _grid_points(first, steps)
+        pts = _grid_points(first, grid_steps)
         objectives = [problems[j].objective for j in members]
-        n_slabs = 1 if first.tie or first.n_loads == 1 else steps
-        best = _sweep(nf, objectives, pts, n_slabs, options)
-        checks = [None if p is None else _residual_vector(nf, p, options)[1] for p in best]
-        if n_slabs > 1 and not all(c is not None and c.min() >= -options.tol for c in checks):
+        n_slabs = 1 if first.tie or first.n_loads == 1 else grid_steps
+        best = _sweep(nf, objectives, pts, n_slabs)
+        checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
+        if n_slabs > 1 and not all(c is not None and c.min() >= -FEAS_TOL for c in checks):
             # a predicted start converged where a flat start does not: sweep
             # the group again from flat starts only
-            best = _sweep(nf, objectives, pts, 1, options)
-            checks = [None if p is None else _residual_vector(nf, p, options)[1] for p in best]
+            best = _sweep(nf, objectives, pts, 1)
+            checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
         for j, p, c_net in zip(members, best, checks):
             if p is None:
                 raise Infeasible("no feasible grid point")

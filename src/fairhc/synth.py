@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .kpi import gini, price_of_fairness
 from .netmodel import Bus, Feeder, GridConnection, Line, Load, to_per_unit
-from .solver import SolverOptions, solve_references
+from .solver import solve_references
 
 LAYOUTS = ("linear", "branched")
 
@@ -136,9 +136,9 @@ class TopologyReport:
         return d
 
 
-def _evaluate(spec: SynthSpec, options: SolverOptions) -> FeederReport:
+def _evaluate(spec: SynthSpec) -> FeederReport:
     nf = to_per_unit(generate_feeder(spec))
-    _, uti, egal = solve_references(nf, options)
+    _, uti, egal = solve_references(nf)
     return FeederReport(
         layout=spec.layout,
         hc_uti_kw=uti.hc_total,
@@ -148,16 +148,14 @@ def _evaluate(spec: SynthSpec, options: SolverOptions) -> FeederReport:
     )
 
 
-def topology_experiment(linear_spec: SynthSpec, branched_spec: SynthSpec,
-                        options: SolverOptions | None = None) -> TopologyReport:
+def topology_experiment(linear_spec: SynthSpec, branched_spec: SynthSpec) -> TopologyReport:
     """Utilitarian vs egalitarian HC on a matched linear/branched feeder pair."""
-    options = options or SolverOptions()
     if linear_spec.layout != "linear" or branched_spec.layout != "branched":
         raise ValidationError("specs must be (linear, branched) in that order")
     if linear_spec.n_loads != branched_spec.n_loads:
         raise ValidationError("specs must have equal n_loads")
     if abs(linear_spec.total_length_m - branched_spec.total_length_m) > 1e-6:
         raise ValidationError("specs must have equal total conductor length")
-    lin = _evaluate(linear_spec, options)
-    bra = _evaluate(branched_spec, options)
+    lin = _evaluate(linear_spec)
+    bra = _evaluate(branched_spec)
     return TopologyReport(linear=lin, branched=bra, pof_gap=lin.pof_egal - bra.pof_egal)

@@ -19,12 +19,11 @@ from fairhc.powerflow import (
     residual_labels,
     solve_power_flow,
 )
-from fairhc.solver import SolverOptions, brute_force_oracle_batch, solve_hc, solve_references
+from fairhc.solver import brute_force_oracle_batch, solve_hc, solve_references
 from fairhc.synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
 from conftest import mk, make_br4, make_lin3, make_star3, make_two_bus
 
-OPTS = SolverOptions()
 GRID_STEPS = 201
 
 
@@ -47,7 +46,7 @@ def feeders():
 @pytest.fixture(scope="module")
 def references(feeders):
     """Per-feeder (refs, uti, egal) solved once and shared across criteria."""
-    return {name: solve_references(nf, OPTS) for name, nf in feeders.items()}
+    return {name: solve_references(nf) for name, nf in feeders.items()}
 
 
 def test_criterion_01_pof_formula_consistency():
@@ -98,10 +97,9 @@ def test_criterion_04_brute_force_equivalence(feeders, references):
             build_problem(nf, FairnessPolicy.bounded(0.5, 0.5), refs),
             build_problem(nf, FairnessPolicy.bargaining(0.5), refs),
         ]
-        oracles = brute_force_oracle_batch(problems, grid_steps=GRID_STEPS,
-                                           options=OPTS)
+        oracles = brute_force_oracle_batch(problems, grid_steps=GRID_STEPS)
         for prob, oracle in zip(problems, oracles):
-            sol = solve_hc(prob, OPTS)
+            sol = solve_hc(prob)
             step = float(np.max(prob.upper - prob.lower)) / (GRID_STEPS - 1)
             tol = 0.01 * abs(oracle.hc_total) + step
             diff = abs(sol.hc_total - oracle.hc_total)
@@ -123,16 +121,16 @@ def test_criterion_05_ordering_and_endpoint_recovery(feeders, references):
         hi = uti.hc_total + 0.005 * abs(uti.hc_total)
         for a in grid:
             for b in grid:
-                sol = solve_hc(build_problem(nf, FairnessPolicy.bounded(a, b), refs), OPTS)
+                sol = solve_hc(build_problem(nf, FairnessPolicy.bounded(a, b), refs))
                 if not lo <= sol.hc_total <= hi:
                     ok, detail = False, f"{name} bounded({a},{b}) -> {sol.hc_total:.4f}"
-        collapse = solve_hc(build_problem(nf, FairnessPolicy.bounded(1.0, 0.0), refs), OPTS)
+        collapse = solve_hc(build_problem(nf, FairnessPolicy.bounded(1.0, 0.0), refs))
         if abs(collapse.hc_total - egal.hc_total) / nf.s_base > 1e-6 * nf.n_loads:
             ok, detail = False, f"{name} bounded(1,0) != egalitarian"
         for sol, label in (
-            (solve_hc(build_problem(nf, FairnessPolicy.bounded(0.0, 1.0), refs), OPTS),
+            (solve_hc(build_problem(nf, FairnessPolicy.bounded(0.0, 1.0), refs)),
              "bounded(0,1)"),
-            (solve_hc(build_problem(nf, FairnessPolicy.bargaining(1.0), refs), OPTS),
+            (solve_hc(build_problem(nf, FairnessPolicy.bargaining(1.0), refs)),
              "bargaining(1)"),
         ):
             if abs(sol.hc_total - uti.hc_total) > 0.005 * abs(uti.hc_total):
@@ -143,7 +141,7 @@ def test_criterion_05_ordering_and_endpoint_recovery(feeders, references):
 
 @pytest.fixture(scope="module")
 def frontiers(feeders):
-    return {family: sweep(feeders["lin3"], family, steps=5, options=OPTS)
+    return {family: sweep(feeders["lin3"], family, steps=5)
             for family in ("bounded_lower", "bounded_upper", "bargaining")}
 
 
@@ -163,8 +161,7 @@ def test_criterion_07_bargaining_monotonicity(feeders, references):
     detail = ""
     for name, nf in feeders.items():
         refs, _, _ = references[name]
-        hcs = [solve_hc(build_problem(nf, FairnessPolicy.bargaining(float(k)), refs),
-                        OPTS).hc_total
+        hcs = [solve_hc(build_problem(nf, FairnessPolicy.bargaining(float(k)), refs)).hc_total
                for k in np.linspace(0.0, 1.0, 11)]
         for prev, nxt in zip(hcs, hcs[1:]):
             if nxt < prev - 0.005 * abs(prev):
@@ -185,7 +182,7 @@ def matched_pair():
 
 def test_criterion_08_topology_direction(matched_pair):
     linear, branched = matched_pair
-    report = topology_experiment(linear, branched, OPTS)
+    report = topology_experiment(linear, branched)
     check("criterion 8: egalitarian PoF higher on the matched linear feeder "
           "than on the branched one (n = 10)",
           report.linear.pof_egal > report.branched.pof_egal,
@@ -197,7 +194,7 @@ def test_criterion_09_distance_anticorrelated_allocation(matched_pair):
     linear, _ = matched_pair
     feeder = generate_feeder(linear)
     nf = to_per_unit(feeder)
-    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()), OPTS)
+    uti = solve_hc(build_problem(nf, FairnessPolicy.utilitarian()))
     dist = [electrical_distance(feeder, load.bus) for load in feeder.loads]
     rho, _ = spearmanr(dist, uti.allocation)
     check("criterion 9: Spearman correlation between electrical distance and "

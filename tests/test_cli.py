@@ -87,14 +87,20 @@ class TestSolve:
         assert payload["hc_total_kw"] > 0
         assert len(payload["allocation_kw"]) == 2
         assert payload["manifest"]["policy"] == policy
-        assert set(payload["manifest"]["solver_options"]) == {
-            "tol", "max_outer", "starts", "grid_steps", "power_factor"}
+        assert set(payload["manifest"]) == {
+            "command", "feeder_sha256", "policy", "version", "timestamp"}
 
     def test_infeasible_exits_1(self, infeasible_path):
         assert main(["solve", infeasible_path, "--policy", "utilitarian"]) == EXIT_INFEASIBLE
 
     def test_bad_policy_exits_2(self, feeder_path):
         assert main(["solve", feeder_path, "--policy", "bogus"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-outer", "--starts"])
+    def test_removed_solver_flags_exit_2(self, feeder_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", feeder_path, "--policy", "utilitarian", flag, "1"])
+        assert exc.value.code == EXIT_INPUT
 
     def test_oracle_route(self, capsys, feeder_path):
         code, payload = run_json(capsys, ["solve", feeder_path, "--policy",

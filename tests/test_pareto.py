@@ -14,7 +14,6 @@ from fairhc.pareto import (
     points_from_csv,
     sweep,
 )
-from fairhc.solver import SolverOptions
 
 
 def pt(gini, pof, family="bargaining", param=0.5, hc=100.0, status="optimal"):
@@ -24,7 +23,7 @@ def pt(gini, pof, family="bargaining", param=0.5, hc=100.0, status="optimal"):
 @pytest.fixture(scope="module")
 def lin3_bargaining_frontier():
     from conftest import make_lin3
-    return sweep(make_lin3(), "bargaining", steps=5, options=SolverOptions())
+    return sweep(make_lin3(), "bargaining", steps=5)
 
 
 class TestSweep:

@@ -7,8 +7,8 @@ from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.netmodel import parse_feeder, serialize_feeder, to_per_unit
 from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
 from fairhc.solver import (
+    FEAS_TOL,
     HCSolution,
-    SolverOptions,
     brute_force_oracle,
     brute_force_oracle_batch,
     solve_egalitarian_bisection,
@@ -20,17 +20,15 @@ from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import make_br4, make_lin3, make_star3, make_two_bus, mk
 
-OPTS = SolverOptions()
 
-
-def assert_solution_invariants(sol: HCSolution, problem, options=OPTS):
+def assert_solution_invariants(sol: HCSolution, problem):
     nf = problem.feeder
     p = sol.allocation / nf.s_base
     assert sol.hc_total == pytest.approx(float(sol.allocation.sum()), rel=1e-9)
     assert np.all(p >= problem.lower - 1e-7)
     assert np.all(p <= problem.upper + 1e-7)
     state = solve_power_flow(nf, p)
-    assert constraint_residuals(state, nf).min() >= -options.tol
+    assert constraint_residuals(state, nf).min() >= -FEAS_TOL
 
 
 class TestEgalitarianBisection:
@@ -39,8 +37,9 @@ class TestEgalitarianBisection:
         assert sol.hc_total == pytest.approx(1.05, abs=1e-4)
         assert sol.status == "optimal"
 
-    def test_cap_binds(self, monkeypatch):
-        nf = make_two_bus(dg_cap=0.25)
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Uniform injection (pu) of each power flow the solver runs."""
         solves = []
         real = solver.solve_power_flow
 
@@ -49,9 +48,18 @@ class TestEgalitarianBisection:
             return real(nf, dg, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_power_flow", spy)
+        return solves
+
+    def test_cap_binds(self, solves):
+        nf = make_two_bus(dg_cap=0.25)
         sol = solve_egalitarian_bisection(nf)
         assert sol.allocation == pytest.approx([0.25])
         assert solves.count(0.25) == 1  # the probe at the cap is not solved again
+
+    def test_reported_point_solved_once(self, lin3, solves):
+        sol = solve_egalitarian_bisection(lin3)
+        assert sol.allocation[0] < lin3.dg_cap * lin3.s_base  # a limit binds, not the cap
+        assert [t * lin3.s_base for t in solves].count(sol.allocation[0]) == 1
 
     def test_infeasible_baseline(self):
         nf = mk(2, 0, [(0, 1, 0.05, 0.0)], [1], p_demand=3.0, q_demand=0.0)
@@ -73,7 +81,7 @@ class TestEgalitarianBisection:
         # prescan probes every 0.15 pu of the 1.2 pu box
         probed = []
 
-        def fake(nf, dg, options):
+        def fake(nf, dg):
             t = float(dg[0])
             probed.append(t)
             ok = t <= 0.3 or 0.6 <= t <= 0.7
@@ -83,7 +91,7 @@ class TestEgalitarianBisection:
         sol = solve_egalitarian_bisection(lin3)
         t = float(sol.allocation[0])
         assert 0.7 - solver._BISECT_TOL <= t <= 0.7
-        assert probed[-1] == t  # re-verified at the reported point
+        assert t in probed  # the reported point is a probe found feasible
         assert sol.status == "optimal"
 
 
@@ -184,17 +192,28 @@ class TestDispatch:
         sol = solve_hc(build_problem(lin3, FairnessPolicy.bargaining(1.0), refs))
         assert sol.hc_total == pytest.approx(uti.hc_total, rel=0.005)
 
+    def test_references_run_one_bisection(self, lin3, monkeypatch):
+        calls = []
+        real = solver.solve_egalitarian_bisection
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_egalitarian_bisection", spy)
+        refs, uti, egal = solve_references(lin3)
+        assert len(calls) == 1
+        assert refs.egal_per_load * lin3.s_base == egal.allocation[0]
+        alone = solve_hc(build_problem(lin3, FairnessPolicy.utilitarian()))
+        assert np.array_equal(uti.allocation, alone.allocation)
+        assert uti.iterations == alone.iterations
+
     def test_ordering_egal_bounded_uti(self, br4):
         refs, uti, egal = solve_references(br4)
         for alpha, beta in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)):
             sol = solve_hc(build_problem(br4, FairnessPolicy.bounded(alpha, beta), refs))
             assert sol.hc_total >= egal.hc_total - 0.005 * abs(egal.hc_total)
             assert sol.hc_total <= uti.hc_total + 0.005 * abs(uti.hc_total)
-
-    def test_power_factor_option(self, lin3):
-        sol = solve_egalitarian_bisection(lin3, SolverOptions(power_factor=0.95))
-        assert sol.status == "optimal"
-        assert sol.hc_total > 0
 
 
 class TestBruteForceOracle:
@@ -250,7 +269,7 @@ class TestBruteForceOracle:
             brute_force_oracle_batch(probs, grid_steps=11)
 
 
-def flat_oracle(problem, steps, options=OPTS):
+def flat_oracle(problem, steps):
     """Reference grid oracle: every point solved from a flat start in one batch,
     then the first best feasible point, in kW."""
     nf = problem.feeder
@@ -261,7 +280,7 @@ def flat_oracle(problem, steps, options=OPTS):
                            indexing="ij")
         pts = np.stack([a.ravel() for a in axes], axis=1)
     res = _solve_batch(nf, pts, np.zeros_like(pts))
-    feas = res.converged & (residual_min_batch(nf, res) >= -options.tol)
+    feas = res.converged & (residual_min_batch(nf, res) >= -FEAS_TOL)
     vals = np.where(feas, problem.objective(pts), -np.inf)
     return pts[int(np.argmax(vals))] * nf.s_base
 

@@ -2,10 +2,8 @@ import pytest
 
 from fairhc.errors import ValidationError
 from fairhc.netmodel import feeder_stats, to_per_unit
-from fairhc.solver import SolverOptions
 from fairhc.synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
-FAST = SolverOptions()
 STRONG = Conductor(i_rated_a=500.0)
 
 
@@ -81,7 +79,7 @@ class TestTopologyExperiment:
                         conductor=STRONG)
         bra = SynthSpec(n_loads=3, layout="branched", trunk_len_m=60.0,
                         branch_len_m=30.0, conductor=STRONG)
-        report = topology_experiment(lin, bra, FAST)
+        report = topology_experiment(lin, bra)
         assert report.linear.hc_uti_kw >= report.linear.hc_egal_kw - 1e-6
         assert report.branched.hc_uti_kw >= report.branched.hc_egal_kw - 1e-6
         assert report.pof_gap == pytest.approx(
@@ -94,7 +92,7 @@ class TestTopologyExperiment:
                         conductor=STRONG)
         bra = SynthSpec(n_loads=1, layout="branched", trunk_len_m=30.0,
                         branch_len_m=30.0, conductor=STRONG)
-        report = topology_experiment(lin, bra, FAST)
+        report = topology_experiment(lin, bra)
         for row in (report.linear, report.branched):
             assert row.hc_uti_kw >= row.hc_egal_kw
         # one load: every policy coincides, so PoF matches across layouts
@@ -106,4 +104,4 @@ class TestTopologyExperiment:
                         conductor=STRONG)
         bra = SynthSpec(n_loads=2, layout="branched", trunk_len_m=40.0,
                         branch_len_m=30.0, conductor=STRONG)
-        assert topology_experiment(lin, bra, FAST) == topology_experiment(lin, bra, FAST)
+        assert topology_experiment(lin, bra) == topology_experiment(lin, bra)
