@@ -14,7 +14,7 @@ def main():
                      conductor=Conductor(i_rated_a=500.0))
     nf = to_per_unit(generate_feeder(spec))
 
-    frontier = sweep(nf, "bargaining", steps=11, feeder_id="linear-4")
+    frontier = sweep(nf, "bargaining", steps=11)
     print(frontier_to_csv(frontier))
 
     nondominated = pareto_filter(frontier.points)

@@ -190,8 +190,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_pareto(args) -> int:
     text, feeder = _read_feeder(args.feeder)
-    frontier = sweep(feeder, args.family, steps=args.steps, jobs=args.jobs,
-                     feeder_id=args.feeder)
+    frontier = sweep(feeder, args.family, steps=args.steps, jobs=args.jobs)
     _emit(args, frontier_to_csv(frontier))
     return EXIT_OK
 

@@ -63,10 +63,15 @@ def parse_policy(text: str) -> FairnessPolicy:
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ParameterOutOfRange(f"bad policy parameter {item!r}")
+            if key not in ("alpha", "beta", "k"):
+                raise ParameterOutOfRange(f"unknown policy parameter {key!r}")
+            if key in params:
+                raise ParameterOutOfRange(f"repeated policy parameter {key!r}")
             try:
-                params[key.strip()] = float(value)
+                params[key] = float(value)
             except ValueError as exc:
                 raise ParameterOutOfRange(f"bad policy parameter {item!r}") from exc
     return FairnessPolicy(head, **params)

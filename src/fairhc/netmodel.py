@@ -284,12 +284,26 @@ def to_per_unit(feeder: Feeder) -> NormalizedFeeder:
 # JSON feeder file format
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"s_base_kva", "v_base_v", "dg_cap_kw", "buses", "lines", "loads", "connection"}
-_BUS_REQ = {"id", "kind"}
-_BUS_OPT = {"v_min", "v_max", "dtheta_min", "dtheta_max"}
-_LINE_KEYS = {"from", "to", "r_ohm", "x_ohm", "length_m", "i_rated_a", "u_nom_v"}
-_LOAD_KEYS = {"bus", "p_kw", "q_kvar"}
-_CONN_KEYS = {"bus", "p_max_kw", "q_max_kvar"}
+# One ordered table per record: JSON key -> (constructor field, kind).  A kind is
+# "string", "number", "number?" (a number that may be left out, so the field keeps
+# its default), a record class (a nested object) or a one-class tuple (an array of
+# those records).  Records are read, checked and written in table order.
+_FORMAT: dict[type, dict[str, tuple[str, object]]] = {
+    Feeder: {"s_base_kva": ("s_base", "number"), "v_base_v": ("v_base", "number"),
+             "dg_cap_kw": ("dg_cap", "number"), "buses": ("buses", (Bus,)),
+             "lines": ("lines", (Line,)), "loads": ("loads", (Load,)),
+             "connection": ("connection", GridConnection)},
+    Bus: {"id": ("id", "string"), "kind": ("kind", "string"),
+          "v_min": ("v_min", "number?"), "v_max": ("v_max", "number?"),
+          "dtheta_min": ("dtheta_min", "number?"), "dtheta_max": ("dtheta_max", "number?")},
+    Line: {"from": ("from_bus", "string"), "to": ("to_bus", "string"),
+           "r_ohm": ("resistance", "number"), "x_ohm": ("reactance", "number"),
+           "length_m": ("length", "number"), "i_rated_a": ("rated_current", "number"),
+           "u_nom_v": ("nominal_voltage", "number")},
+    Load: {"bus": ("bus", "string"), "p_kw": ("p_demand", "number"), "q_kvar": ("q_demand", "number")},
+    GridConnection: {"bus": ("bus", "string"), "p_max_kw": ("p_max", "number"),
+                     "q_max_kvar": ("q_max", "number")},
+}
 
 
 def _require_keys(obj, required, optional, where):
@@ -304,18 +318,29 @@ def _require_keys(obj, required, optional, where):
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
-def _num(obj, key, where):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}: field {key!r} must be a number")
-    return float(v)
-
-
-def _str(obj, key, where):
-    v = obj[key]
-    if not isinstance(v, str):
-        raise SchemaError(f"{where}: field {key!r} must be a string")
-    return v
+def _record(cls, raw, where):
+    """Check ``raw`` against the table of ``cls`` and build it: the keys, then
+    every array, then the nested records, then the plain fields."""
+    table = _FORMAT[cls]
+    optional = {key for key, (_, kind) in table.items() if kind == "number?"}
+    _require_keys(raw, set(table) - optional, optional, where)
+    for key, (_, kind) in table.items():
+        if isinstance(kind, tuple) and not isinstance(raw[key], list):
+            raise SchemaError(f"{where}: {key!r} must be an array")
+    kw = {}
+    for key, (name, kind) in table.items():
+        if isinstance(kind, tuple):
+            kw[name] = tuple(_record(kind[0], item, f"{key}[{i}]") for i, item in enumerate(raw[key]))
+        elif kind in _FORMAT:
+            kw[name] = _record(kind, raw[key], key)
+    for key, (name, kind) in table.items():
+        if isinstance(kind, str) and key in raw:
+            v, kind = raw[key], kind.rstrip("?")
+            if kind == "string" and not isinstance(v, str) or kind == "number" and (
+                    isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise SchemaError(f"{where}: field {key!r} must be a {kind}")
+            kw[name] = float(v) if kind == "number" else v
+    return cls(**kw)
 
 
 def parse_feeder(text: str) -> Feeder:
@@ -324,97 +349,25 @@ def parse_feeder(text: str) -> Feeder:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
-    _require_keys(doc, _TOP_KEYS, set(), "feeder")
-    for key in ("buses", "lines", "loads"):
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"feeder: {key!r} must be an array")
-    buses = []
-    for i, raw in enumerate(doc["buses"]):
-        where = f"buses[{i}]"
-        _require_keys(raw, _BUS_REQ, _BUS_OPT, where)
-        kw = {"id": _str(raw, "id", where), "kind": _str(raw, "kind", where)}
-        for opt in _BUS_OPT:
-            if opt in raw:
-                kw[opt] = _num(raw, opt, where)
-        buses.append(Bus(**kw))
-    lines = []
-    for i, raw in enumerate(doc["lines"]):
-        where = f"lines[{i}]"
-        _require_keys(raw, _LINE_KEYS, set(), where)
-        lines.append(
-            Line(
-                from_bus=_str(raw, "from", where),
-                to_bus=_str(raw, "to", where),
-                resistance=_num(raw, "r_ohm", where),
-                reactance=_num(raw, "x_ohm", where),
-                length=_num(raw, "length_m", where),
-                rated_current=_num(raw, "i_rated_a", where),
-                nominal_voltage=_num(raw, "u_nom_v", where),
-            )
-        )
-    loads = []
-    for i, raw in enumerate(doc["loads"]):
-        where = f"loads[{i}]"
-        _require_keys(raw, _LOAD_KEYS, set(), where)
-        loads.append(
-            Load(
-                bus=_str(raw, "bus", where),
-                p_demand=_num(raw, "p_kw", where),
-                q_demand=_num(raw, "q_kvar", where),
-            )
-        )
-    _require_keys(doc["connection"], _CONN_KEYS, set(), "connection")
-    conn = GridConnection(
-        bus=_str(doc["connection"], "bus", "connection"),
-        p_max=_num(doc["connection"], "p_max_kw", "connection"),
-        q_max=_num(doc["connection"], "q_max_kvar", "connection"),
-    )
-    return Feeder(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        loads=tuple(loads),
-        connection=conn,
-        s_base=_num(doc, "s_base_kva", "feeder"),
-        v_base=_num(doc, "v_base_v", "feeder"),
-        dg_cap=_num(doc, "dg_cap_kw", "feeder"),
-    )
+    return _record(Feeder, doc, "feeder")
 
 
-def feeder_to_dict(feeder: Feeder) -> dict:
-    buses = []
-    for b in feeder.buses:
-        raw = {"id": b.id, "kind": b.kind, "v_min": b.v_min, "v_max": b.v_max}
-        if b.dtheta_min != -DEFAULT_DTHETA:
-            raw["dtheta_min"] = b.dtheta_min
-        if b.dtheta_max != DEFAULT_DTHETA:
-            raw["dtheta_max"] = b.dtheta_max
-        buses.append(raw)
-    return {
-        "s_base_kva": feeder.s_base,
-        "v_base_v": feeder.v_base,
-        "dg_cap_kw": feeder.dg_cap,
-        "buses": buses,
-        "lines": [
-            {
-                "from": ln.from_bus,
-                "to": ln.to_bus,
-                "r_ohm": ln.resistance,
-                "x_ohm": ln.reactance,
-                "length_m": ln.length,
-                "i_rated_a": ln.rated_current,
-                "u_nom_v": ln.nominal_voltage,
-            }
-            for ln in feeder.lines
-        ],
-        "loads": [
-            {"bus": ld.bus, "p_kw": ld.p_demand, "q_kvar": ld.q_demand} for ld in feeder.loads
-        ],
-        "connection": {
-            "bus": feeder.connection.bus,
-            "p_max_kw": feeder.connection.p_max,
-            "q_max_kvar": feeder.connection.q_max,
-        },
-    }
+def feeder_to_dict(record) -> dict:
+    """JSON object of a feeder (or of any record in it), keys in table order.
+
+    A bus's angle limits are written only where they differ from the defaults.
+    """
+    raw = {}
+    for key, (name, kind) in _FORMAT[type(record)].items():
+        field = getattr(record, name)
+        if isinstance(kind, tuple):
+            field = [feeder_to_dict(item) for item in field]
+        elif kind in _FORMAT:
+            field = feeder_to_dict(field)
+        elif key in ("dtheta_min", "dtheta_max") and field == getattr(Bus, name):
+            continue
+        raw[key] = field
+    return raw
 
 
 def serialize_feeder(feeder: Feeder, indent: int = 2) -> str:

@@ -11,15 +11,15 @@ import io
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrontier, FairHCError, Infeasible
+from .errors import DegenerateFrontier, FairHCError
 from .formulation import FairnessPolicy, References, build_problem
 from .kpi import gini, price_of_fairness
 from .netmodel import Feeder, NormalizedFeeder, to_per_unit
-from .solver import HCSolution, solve_hc, solve_references
+from .solver import solve_hc, solve_references
 
 FAMILIES = ("bounded_lower", "bounded_upper", "bargaining")
 
@@ -38,10 +38,7 @@ class ParetoPoint:
 
 @dataclass
 class Frontier:
-    feeder_id: str
     points: list[ParetoPoint]  # sorted by gini ascending, failures last
-    uti_ref: HCSolution
-    egal_ref: HCSolution
 
 
 def _policy_for(family: str, param: float) -> FairnessPolicy:
@@ -74,8 +71,7 @@ def _sort_points(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(finite, key=lambda p: (p.gini, p.pof)) + failed
 
 
-def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs: int = 1,
-          feeder_id: str = "feeder") -> Frontier:
+def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs: int = 1) -> Frontier:
     """Solve one HC problem per evenly spaced parameter in [0, 1] plus both endpoints.
 
     Per-point failures are embedded as ``status='failed'`` rows, never dropped.
@@ -105,8 +101,7 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs:
     else:
         points += [_solve_point(nf, family, float(t), refs, uti.hc_total) for t in params]
 
-    return Frontier(feeder_id=feeder_id, points=_sort_points(points),
-                    uti_ref=uti, egal_ref=egal)
+    return Frontier(_sort_points(points))
 
 
 def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:

@@ -182,21 +182,20 @@ class _BatchResult(NamedTuple):
     singular: np.ndarray
 
 
-def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
-                 tol: float = PF_TOL, max_iter: int = PF_MAX_ITER,
+def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                  start: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchResult:
     """Newton from ``start = (v, theta)``, each ``(B, n)`` with the slack at 1
     and 0, or from a flat start.
 
     ``iterations`` holds the step at which each point converged, diverged or
-    hit ``max_iter``; ``mismatch`` its last finite mismatch.
+    hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
     """
     plan = nf.plan
     ns = plan.ns
     B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
     p_inj, q_inj = np.zeros((2, B, n))
     p_inj[:, nf.load_bus] = dg - nf.p_demand
-    q_inj[:, nf.load_bus] = dg_q - nf.q_demand
+    q_inj[:, nf.load_bus] -= nf.q_demand
     inj = np.concatenate([p_inj[:, ns], q_inj[:, ns]], axis=1)
 
     if start is None:
@@ -210,7 +209,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
 
     idx = np.arange(B)  # active (undecided) points; converged, diverged and singular ones drop out
     with np.errstate(all="ignore"):
-        for it in range(max_iter + 1):
+        for it in range(PF_MAX_ITER + 1):
             p_calc, q_calc = _flows(plan, v[idx], theta[idx]) @ plan.inc
             F = np.concatenate([p_calc[:, ns], q_calc[:, ns]], axis=1) - inj[idx]
             bad = ~np.isfinite(F).all(axis=1) | (v[idx][:, ns].min(axis=1) < _V_FLOOR)
@@ -222,7 +221,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
             mismatch[idx[finite]] = mis[finite]
             keep = ~conv & ~bad
             idx = idx[keep]
-            if len(idx) == 0 or it == max_iter:
+            if len(idx) == 0 or it == PF_MAX_ITER:
                 break
             F = F[keep]
             J = _jacobian(plan, _flow_partials(plan, v[idx], theta[idx]))
@@ -250,28 +249,22 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray,
     )
 
 
-def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, dg_q: np.ndarray | None = None,
-                     tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PowerFlowState:
+def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL) -> PowerFlowState:
     """Newton-Raphson solution of the nodal balances from a flat start.
 
-    ``dg``/``dg_q`` are per-load active/reactive injections in pu (reactive
-    defaults to zero, i.e. unity power factor).
+    ``dg`` holds the per-load active injections in pu (DG runs at unity power factor).
     """
     dg = np.atleast_1d(np.asarray(dg, dtype=float))
     if dg.shape != (nf.n_loads,):
         raise ValueError(f"dg must have shape ({nf.n_loads},)")
     if not np.isfinite(dg).all():
         raise ValueError("dg must be finite")
-    if dg_q is None:
-        dg_q = np.zeros_like(dg)
-    else:
-        dg_q = np.atleast_1d(np.asarray(dg_q, dtype=float))
-    res = _solve_batch(nf, dg[None, :], dg_q[None, :], tol=tol, max_iter=max_iter)
+    res = _solve_batch(nf, dg[None, :], tol=tol)
     if res.singular[0]:
         raise SingularJacobian("power-flow Jacobian became singular")
     if not res.converged[0]:
         it, mis = int(res.iterations[0]), float(res.mismatch[0])
-        what = (f"did not converge in {max_iter} iterations" if it == max_iter
+        what = (f"did not converge in {PF_MAX_ITER} iterations" if it == PF_MAX_ITER
                 else f"diverged at iteration {it}")
         raise NonConvergence(f"power flow {what} (last finite mismatch {mis:.3e} pu)",
                              mismatch=mis)
@@ -329,8 +322,7 @@ def residual_min_batch(nf: NormalizedFeeder, res: _BatchResult) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
-                     dg_q: np.ndarray | None = None, tol: float = PF_TOL,
-                     state: PowerFlowState | None = None) -> np.ndarray:
+                     tol: float = PF_TOL, state: PowerFlowState | None = None) -> np.ndarray:
     """Gradient of weights . residuals w.r.t. the DG active injections.
 
     One transposed-Jacobian solve at the converged state; ``weights`` follows
@@ -339,7 +331,7 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     """
     dg = np.asarray(dg, dtype=float)
     if state is None:
-        state = solve_power_flow(nf, dg, dg_q, tol=tol)
+        state = solve_power_flow(nf, dg, tol=tol)
     n, L = nf.n_bus, nf.n_line
     weights = np.asarray(weights, dtype=float)
     expected = 2 * n + 4 * L + 4

@@ -387,11 +387,10 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray,
         for lo in range(0, len(slab), ORACLE_CHUNK):
             part = slice(lo, lo + ORACLE_CHUNK)
             block = slab[part]
-            block_q = np.zeros_like(block)
-            res = _solve_batch(nf, block, block_q, start=(v0[part], t0[part]))
+            res = _solve_batch(nf, block, start=(v0[part], t0[part]))
             retry = np.flatnonzero(~res.converged & warm[part])
             if len(retry):
-                flat = _solve_batch(nf, block[retry], block_q[retry])
+                flat = _solve_batch(nf, block[retry])
                 for field, value in zip(res, flat):
                     field[retry] = value
             converged[part], v[part], theta[part] = res.converged, res.v, res.theta
@@ -437,6 +436,8 @@ def brute_force_oracle_batch(problems: list[HCProblem],
     with one free axis (a tied or a one-load problem) is a single slab from a
     flat start.
     """
+    if grid_steps < 1:
+        raise ValueError("grid_steps must be >= 1")
     if not problems:
         return []
     nf = problems[0].feeder

@@ -94,7 +94,14 @@ class TestSolve:
         assert main(["solve", infeasible_path, "--policy", "utilitarian"]) == EXIT_INFEASIBLE
 
     def test_bad_policy_exits_2(self, feeder_path):
-        assert main(["solve", feeder_path, "--policy", "bogus"]) == EXIT_INPUT
+        for policy in ("bogus", "bounded:alpha=0.5,gamma=1"):
+            assert main(["solve", feeder_path, "--policy", policy]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("policy", ["egalitarian", "utilitarian"])
+    def test_zero_grid_steps_exits_2(self, capsys, feeder_path, policy):
+        code = main(["solve", feeder_path, "--policy", policy, "--oracle", "--grid-steps", "0"])
+        assert code == EXIT_INPUT
+        assert "grid_steps must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-outer", "--starts"])
     def test_removed_solver_flags_exit_2(self, feeder_path, flag):

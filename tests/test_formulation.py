@@ -59,7 +59,8 @@ class TestPolicyGrammar:
                      "bounded:alpha=0.5,beta=0.3", "bargaining:k=0.7"):
             assert parse_policy(policy_string(parse_policy(text))) == parse_policy(text)
 
-    @pytest.mark.parametrize("text", ["bounded:alpha", "bargaining:k=x", "bounded:0.5"])
+    @pytest.mark.parametrize("text", ["bounded:alpha", "bargaining:k=x", "bounded:0.5",
+                                      "bounded:alpha=0.5,gamma=1", "bargaining:k=0.5,k=0.7"])
     def test_bad_grammar(self, text):
         with pytest.raises(ParameterOutOfRange):
             parse_policy(text)

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fairhc.netmodel import (
     to_per_unit,
     z_base_ohm,
 )
+from fairhc.synth import SynthSpec, generate_feeder
 
 from conftest import feeder_dict
 
@@ -98,6 +101,123 @@ class TestParseFeeder:
         feeder = parse_feeder(json.dumps(feeder_dict()))
         again = parse_feeder(serialize_feeder(feeder))
         assert again == feeder
+
+
+# ---------------------------------------------------------------------------
+# the file format, held to fixed bytes and fixed messages
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "branched_feeder.json"
+
+
+def golden_feeder():
+    """Branched 3-load synth feeder with non-default limits on two buses."""
+    feeder = generate_feeder(SynthSpec(n_loads=3, layout="branched", trunk_len_m=120.0))
+    buses = list(feeder.buses)
+    buses[2] = Bus("l1", "load", v_min=0.94, v_max=1.06, dtheta_min=-0.2, dtheta_max=0.25)
+    buses[3] = Bus("j2", "junction", dtheta_max=0.3)
+    return replace(feeder, buses=tuple(buses))
+
+
+def _set(*path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _both(*edits):
+    def edit(doc):
+        for e in edits:
+            e(doc)
+    return edit
+
+
+# (edit of feeder_dict(), exact message); every one raises SchemaError
+SCHEMA_FAULTS = {
+    "top-missing": (_drop("dg_cap_kw"), "feeder: missing field(s) ['dg_cap_kw']"),
+    "top-unknown": (_set("extra", value=1), "feeder: unknown field(s) ['extra']"),
+    "top-mistyped": (_set("s_base_kva", value=True), "feeder: field 's_base_kva' must be a number"),
+    "bus-missing": (_drop("buses", 1, "kind"), "buses[1]: missing field(s) ['kind']"),
+    "bus-unknown": (_set("buses", 0, "color", value="red"), "buses[0]: unknown field(s) ['color']"),
+    "bus-mistyped-id": (_set("buses", 1, "id", value=3), "buses[1]: field 'id' must be a string"),
+    "bus-mistyped-optional": (_set("buses", 1, "dtheta_max", value=None),
+                              "buses[1]: field 'dtheta_max' must be a number"),
+    "bus-not-object": (_set("buses", 1, value=[]), "buses[1]: expected an object"),
+    "line-missing": (_drop("lines", 0, "x_ohm"), "lines[0]: missing field(s) ['x_ohm']"),
+    "line-unknown": (_set("lines", 1, "color", value="red"), "lines[1]: unknown field(s) ['color']"),
+    "line-mistyped": (_set("lines", 0, "r_ohm", value="high"), "lines[0]: field 'r_ohm' must be a number"),
+    "line-mistyped-from": (_set("lines", 1, "from", value=1), "lines[1]: field 'from' must be a string"),
+    "line-not-object": (_set("lines", 0, value="x"), "lines[0]: expected an object"),
+    "load-missing": (_drop("loads", 0, "p_kw"), "loads[0]: missing field(s) ['p_kw']"),
+    "load-unknown": (_set("loads", 1, "color", value="red"), "loads[1]: unknown field(s) ['color']"),
+    "load-mistyped": (_set("loads", 0, "q_kvar", value="1"), "loads[0]: field 'q_kvar' must be a number"),
+    "load-mistyped-bus": (_set("loads", 1, "bus", value=None), "loads[1]: field 'bus' must be a string"),
+    "load-not-object": (_set("loads", 0, value=5), "loads[0]: expected an object"),
+    "connection-missing": (_drop("connection", "q_max_kvar"),
+                           "connection: missing field(s) ['q_max_kvar']"),
+    "connection-unknown": (_set("connection", "color", value="red"),
+                           "connection: unknown field(s) ['color']"),
+    "connection-mistyped": (_set("connection", "p_max_kw", value="big"),
+                            "connection: field 'p_max_kw' must be a number"),
+    "connection-not-object": (_set("connection", value=[]), "connection: expected an object"),
+    "buses-not-array": (_set("buses", value={}), "feeder: 'buses' must be an array"),
+    "lines-not-array": (_set("lines", value="x"), "feeder: 'lines' must be an array"),
+    "loads-not-array": (_set("loads", value=None), "feeder: 'loads' must be an array"),
+    # two faults: arrays are checked first, then the records, then the top-level numbers
+    "record-before-top-number": (_both(_set("s_base_kva", value=True), _drop("buses", 0, "kind")),
+                                 "buses[0]: missing field(s) ['kind']"),
+    "array-before-record": (_both(_set("buses", 1, "id", value=3), _set("lines", value="x")),
+                            "feeder: 'lines' must be an array"),
+    "loads-before-connection": (_both(_set("connection", "p_max_kw", value="big"),
+                                      _set("loads", 0, "p_kw", value="1")),
+                                "loads[0]: field 'p_kw' must be a number"),
+}
+
+
+class TestFileFormat:
+    def test_serialized_bytes_are_pinned(self):
+        assert serialize_feeder(golden_feeder()) == GOLDEN.read_text()
+
+    def test_golden_file_round_trips(self):
+        assert parse_feeder(GOLDEN.read_text()) == golden_feeder()
+
+    @pytest.mark.parametrize("edit,message", SCHEMA_FAULTS.values(), ids=SCHEMA_FAULTS.keys())
+    def test_schema_messages(self, edit, message):
+        doc = feeder_dict()
+        edit(doc)
+        with pytest.raises(SchemaError) as exc:
+            parse_feeder(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_non_object_document(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_feeder("[]")
+        assert str(exc.value) == "feeder: expected an object"
+
+    def test_bus_checked_before_next_record(self):
+        doc = feeder_dict()
+        doc["buses"][1]["v_min"] = 1.2
+        doc["lines"][0]["r_ohm"] = "high"
+        with pytest.raises(ValidationError) as exc:
+            parse_feeder(json.dumps(doc))
+        assert str(exc.value) == "bus 'a': require 0 < v_min < v_max"
+
+    def test_optional_bus_keys_checked_in_table_order(self):
+        doc = feeder_dict()
+        for key in ("dtheta_max", "dtheta_min", "v_max", "v_min"):
+            doc["buses"][1][key] = "x"
+        with pytest.raises(SchemaError, match="field 'v_min' must be a number"):
+            parse_feeder(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

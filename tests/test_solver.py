@@ -279,7 +279,7 @@ def flat_oracle(problem, steps):
         axes = np.meshgrid(*(np.linspace(lo, hi, steps) for lo, hi in zip(problem.lower, problem.upper)),
                            indexing="ij")
         pts = np.stack([a.ravel() for a in axes], axis=1)
-    res = _solve_batch(nf, pts, np.zeros_like(pts))
+    res = _solve_batch(nf, pts)
     feas = res.converged & (residual_min_batch(nf, res) >= -FEAS_TOL)
     vals = np.where(feas, problem.objective(pts), -np.inf)
     return pts[int(np.argmax(vals))] * nf.s_base
@@ -294,10 +294,10 @@ class TestContinuationSweep:
         calls = []
         real = solver._solve_batch
 
-        def spy(nf, dg, dg_q, *args, start=None, **kwargs):
+        def spy(nf, dg, *args, start=None, **kwargs):
             warm = start is not None and bool(np.any(start[0] != 1.0) or np.any(start[1] != 0.0))
             calls.append((len(dg), warm))
-            return real(nf, dg, dg_q, *args, start=start, **kwargs)
+            return real(nf, dg, *args, start=start, **kwargs)
 
         monkeypatch.setattr(solver, "_solve_batch", spy)
         return calls
