@@ -12,27 +12,15 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateFrontier,
-    FairHCError,
-    Infeasible,
-    NonConvergence,
-    ParseError,
-    SchemaError,
-    SingularJacobian,
-    TooManyLoads,
-    UnknownBus,
-    ValidationError,
-    ZeroUtilitarianHC,
-)
+from .errors import FairHCError, Infeasible, NonConvergence, ParseError, SingularJacobian
 from .formulation import build_problem, parse_policy, policy_string
 from .kpi import gini
 from .netmodel import feeder_stats, parse_feeder, serialize_feeder, to_per_unit
@@ -41,75 +29,57 @@ from .powerflow import constraint_residuals, solve_power_flow
 from .solver import GRID_STEPS, brute_force_oracle, solve_hc, solve_references
 from .synth import Conductor, SynthSpec, generate_feeder, topology_experiment
 
-log = logging.getLogger("fairhc")
-
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-_INPUT_ERRORS = (ParseError, SchemaError, ValidationError, UnknownBus,
-                 ZeroUtilitarianHC, TooManyLoads, DegenerateFrontier, ValueError)
-_SOLVER_ERRORS = (NonConvergence, SingularJacobian)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    feeder_sha256: str | None
-    policy: str | None
-    version: str
-    timestamp: str
-
-
-def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
-
 
 def _manifest(args, feeder_text: str | None = None, policy: str | None = None) -> dict:
-    digest = hashlib.sha256(feeder_text.encode()).hexdigest() if feeder_text else None
-    return asdict(RunManifest(
-        command=" ".join(args.argv),
-        feeder_sha256=digest,
-        policy=policy,
-        version=__version__,
-        timestamp=_timestamp(),
-    ))
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    t = int(epoch) if epoch else int(time.time())
+    return {
+        "command": " ".join(args.argv),
+        "feeder_sha256": hashlib.sha256(feeder_text.encode()).hexdigest() if feeder_text else None,
+        "policy": policy,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t)),
+    }
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        raise FairHCError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _dump(args, payload: dict, manifest: dict) -> None:
-    payload = dict(payload)
-    payload["manifest"] = manifest
-    _emit(args, json.dumps(payload, indent=2, allow_nan=False, default=_jsonify))
+def _dump(args, payload: dict, feeder_text: str | None = None, policy: str | None = None) -> None:
+    """Emit ``payload`` as JSON with the run manifest appended."""
+    manifest = _manifest(args, feeder_text, policy)
+    _emit(args, json.dumps({**payload, "manifest": manifest}, indent=2, allow_nan=False))
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_feeder(path: str) -> tuple[str, "Feeder"]:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read(path)
     return text, parse_feeder(text)
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no inf or nan: such a value is written as null."""
+    return x if math.isfinite(x) else None
 
 
 def _solution_dict(sol) -> dict:
@@ -118,7 +88,7 @@ def _solution_dict(sol) -> dict:
         "hc_total_kw": sol.hc_total,
         "policy": policy_string(sol.policy),
         "status": sol.status,
-        "kkt_residual": float(sol.kkt_residual) if np.isfinite(sol.kkt_residual) else None,
+        "kkt_residual": _finite_or_none(float(sol.kkt_residual)),
         "binding": sol.binding,
         "iterations": list(sol.iterations),
         "disparity_kw": sol.disparity,
@@ -126,40 +96,41 @@ def _solution_dict(sol) -> dict:
     }
 
 
+def _spec(args, layout: str, **kw) -> SynthSpec:
+    return SynthSpec(
+        n_loads=args.n_loads, layout=layout, trunk_len_m=args.trunk_m,
+        branch_len_m=args.branch_m,
+        conductor=Conductor(r_ohm_per_km=args.r_per_km, x_ohm_per_km=args.x_per_km,
+                            i_rated_a=args.i_rated),
+        load_p_kw=args.load_p, load_q_kvar=args.load_q, dg_cap_kw=args.dg_cap, **kw,
+    )
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each one emits its result or raises; main maps errors to exit codes
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     text, feeder = _read_feeder(args.feeder)
     stats = feeder_stats(feeder)
-    _dump(args, {"valid": True, "n_buses": stats.n_buses, "n_loads": stats.n_loads},
-          _manifest(args, text))
-    return EXIT_OK
+    _dump(args, {"valid": True, "n_buses": stats.n_buses, "n_loads": stats.n_loads}, text)
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     text, feeder = _read_feeder(args.feeder)
-    stats = feeder_stats(feeder)
-    payload = dataclasses.asdict(stats)
-    if not np.isfinite(payload["r_over_x"]):
-        payload["r_over_x"] = None
-    _dump(args, payload, _manifest(args, text))
-    return EXIT_OK
+    payload = dataclasses.asdict(feeder_stats(feeder))
+    payload["r_over_x"] = _finite_or_none(payload["r_over_x"])
+    _dump(args, payload, text)
 
 
-def _cmd_pf(args) -> int:
+def _cmd_pf(args) -> None:
     text, feeder = _read_feeder(args.feeder)
     nf = to_per_unit(feeder)
-    if args.dg:
-        dg_kw = np.array([float(x) for x in args.dg.split(",")])
-        if len(dg_kw) != nf.n_loads:
-            raise ValueError(f"--dg needs {nf.n_loads} comma-separated values")
-    else:
-        dg_kw = np.zeros(nf.n_loads)
+    dg_kw = np.array([float(x) for x in args.dg.split(",")]) if args.dg else np.zeros(nf.n_loads)
+    if len(dg_kw) != nf.n_loads:
+        raise ValueError(f"--dg needs {nf.n_loads} comma-separated values")
     state = solve_power_flow(nf, dg_kw / nf.s_base)
-    res = constraint_residuals(state, nf)
-    payload = {
+    _dump(args, {
         "v_pu": state.v.tolist(),
         "theta_rad": state.theta.tolist(),
         "p_flow_pu": state.p_flow.tolist(),
@@ -168,91 +139,48 @@ def _cmd_pf(args) -> int:
         "q_slack_kvar": state.q_slack * nf.s_base,
         "iterations": state.iterations,
         "max_mismatch_pu": state.max_mismatch,
-        "min_residual_pu": res.min(),
-    }
-    _dump(args, payload, _manifest(args, text))
-    return EXIT_OK
+        "min_residual_pu": constraint_residuals(state, nf).min(),
+    }, text)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
+    if args.grid_steps is not None and not args.oracle:
+        raise ValueError("--grid-steps needs --oracle")
+    grid_steps = GRID_STEPS if args.grid_steps is None else args.grid_steps
+    if grid_steps < 1:  # checked here too, before any reference solve
+        raise ValueError("grid_steps must be >= 1")
     text, feeder = _read_feeder(args.feeder)
     nf = to_per_unit(feeder)
     policy = parse_policy(args.policy)
     refs = solve_references(nf)[0] if policy.variant == "bounded" else None
     problem = build_problem(nf, policy, refs)
-    if args.oracle:
-        sol = brute_force_oracle(problem, args.grid_steps)
-    else:
-        sol = solve_hc(problem)
-    _dump(args, _solution_dict(sol), _manifest(args, text, args.policy))
-    return EXIT_OK if sol.status in ("optimal", "max_iter") else EXIT_SOLVER
+    sol = brute_force_oracle(problem, grid_steps) if args.oracle else solve_hc(problem)
+    _dump(args, _solution_dict(sol), text, args.policy)
 
 
-def _cmd_pareto(args) -> int:
-    text, feeder = _read_feeder(args.feeder)
-    frontier = sweep(feeder, args.family, steps=args.steps, jobs=args.jobs)
-    _emit(args, frontier_to_csv(frontier))
-    return EXIT_OK
+def _cmd_pareto(args) -> None:
+    _, feeder = _read_feeder(args.feeder)
+    _emit(args, frontier_to_csv(sweep(feeder, args.family, steps=args.steps, jobs=args.jobs)))
 
 
-def _cmd_knee(args) -> int:
-    try:
-        with open(args.frontier) as fh:
-            points = points_from_csv(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.frontier}: {exc}") from exc
-    knee = knee_point(points)
-    payload = dataclasses.asdict(knee)
-    if not np.isfinite(payload["param"]):
-        payload["param"] = None
-    _dump(args, payload, _manifest(args))
-    return EXIT_OK
+def _cmd_knee(args) -> None:
+    payload = dataclasses.asdict(knee_point(points_from_csv(_read(args.frontier))))
+    payload["param"] = _finite_or_none(payload["param"])
+    _dump(args, payload)
 
 
-def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_loads=args.n_loads,
-        layout=args.layout,
-        trunk_len_m=args.trunk_m,
-        branch_len_m=args.branch_m,
-        conductor=Conductor(r_ohm_per_km=args.r_per_km, x_ohm_per_km=args.x_per_km,
-                            i_rated_a=args.i_rated),
-        load_p_kw=args.load_p, load_q_kvar=args.load_q, seed=args.seed or 0,
-        dg_cap_kw=args.dg_cap,
-    )
-    _emit(args, serialize_feeder(generate_feeder(spec)) + "\n")
-    return EXIT_OK
+def _cmd_synth(args) -> None:
+    _emit(args, serialize_feeder(generate_feeder(_spec(args, args.layout, seed=args.seed))) + "\n")
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     # matched pair: linear trunk carries the branched laterals' length
-    branched = SynthSpec(
-        n_loads=args.n_loads, layout="branched", trunk_len_m=args.trunk_m,
-        branch_len_m=args.branch_m,
-        conductor=Conductor(r_ohm_per_km=args.r_per_km, x_ohm_per_km=args.x_per_km,
-                            i_rated_a=args.i_rated),
-        load_p_kw=args.load_p, load_q_kvar=args.load_q, dg_cap_kw=args.dg_cap,
-    )
-    linear = dataclasses.replace(branched, layout="linear",
-                                 trunk_len_m=branched.total_length_m)
-    report = topology_experiment(linear, branched)
-    _dump(args, report.to_dict(), _manifest(args))
-    return EXIT_OK
+    branched = _spec(args, "branched")
+    linear = dataclasses.replace(branched, layout="linear", trunk_len_m=branched.total_length_m)
+    _dump(args, topology_experiment(linear, branched).to_dict())
 
 
 # ---------------------------------------------------------------------------
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-loads", dest="n_loads", type=int, default=10)
-    p.add_argument("--trunk-m", dest="trunk_m", type=float, default=500.0)
-    p.add_argument("--branch-m", dest="branch_m", type=float, default=30.0)
-    p.add_argument("--r-per-km", dest="r_per_km", type=float, default=0.9)
-    p.add_argument("--x-per-km", dest="x_per_km", type=float, default=0.08)
-    p.add_argument("--i-rated", dest="i_rated", type=float, default=200.0)
-    p.add_argument("--load-p", dest="load_p", type=float, default=1.0)
-    p.add_argument("--load-q", dest="load_q", type=float, default=0.3)
-    p.add_argument("--dg-cap", dest="dg_cap", type=float, default=1000.0)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairhc",
@@ -260,58 +188,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fairhc {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a feeder file")
-    p.add_argument("feeder")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, func, help, *positional):
+        p = sub.add_parser(name, help=help)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("stats", help="aggregate feeder statistics")
-    p.add_argument("feeder")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("pf", help="single power-flow solve")
-    p.add_argument("feeder")
+    command("validate", _cmd_validate, "parse and validate a feeder file", "feeder")
+    command("stats", _cmd_stats, "aggregate feeder statistics", "feeder")
+    p = command("pf", _cmd_pf, "single power-flow solve", "feeder")
     p.add_argument("--dg", default=None, help="comma-separated per-load injections, kW")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pf)
-
-    p = sub.add_parser("solve", help="hosting-capacity solve under one policy")
-    p.add_argument("feeder")
+    p = command("solve", _cmd_solve, "hosting-capacity solve under one policy", "feeder")
     p.add_argument("--policy", required=True,
                    help='utilitarian | egalitarian | "bounded:alpha=A,beta=B" | "bargaining:k=K"')
     p.add_argument("--oracle", action="store_true", help="use the brute-force grid oracle")
-    p.add_argument("--grid-steps", dest="grid_steps", type=int, default=GRID_STEPS,
-                   help="oracle grid points per load")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("pareto", help="fairness-parameter sweep to frontier CSV")
-    p.add_argument("feeder")
+    p.add_argument("--grid-steps", type=int, default=None,
+                   help="oracle grid points per load (needs --oracle)")
+    p = command("pareto", _cmd_pareto, "fairness-parameter sweep to frontier CSV", "feeder")
     p.add_argument("--family", required=True,
                    choices=("bounded_lower", "bounded_upper", "bargaining"))
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pareto)
-
-    p = sub.add_parser("knee", help="knee point of a frontier CSV")
-    p.add_argument("frontier")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_knee)
-
-    p = sub.add_parser("synth", help="generate a synthetic feeder JSON")
-    p.add_argument("--layout", choices=("linear", "branched"), default="linear")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_synth_flags(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("experiment", help="matched linear-vs-branched topology comparison")
-    p.add_argument("--out", default=None)
-    _add_synth_flags(p)
-    p.set_defaults(func=_cmd_experiment)
-
+    command("knee", _cmd_knee, "knee point of a frontier CSV", "frontier")
+    synth = command("synth", _cmd_synth, "generate a synthetic feeder JSON")
+    synth.add_argument("--layout", choices=("linear", "branched"), default="linear")
+    synth.add_argument("--seed", type=int, default=0)
+    experiment = command("experiment", _cmd_experiment,
+                         "matched linear-vs-branched topology comparison")
+    for p in (synth, experiment):
+        p.add_argument("--n-loads", type=int, default=10)
+        p.add_argument("--trunk-m", type=float, default=500.0)
+        p.add_argument("--branch-m", type=float, default=30.0)
+        p.add_argument("--r-per-km", type=float, default=0.9)
+        p.add_argument("--x-per-km", type=float, default=0.08)
+        p.add_argument("--i-rated", type=float, default=200.0)
+        p.add_argument("--load-p", type=float, default=1.0)
+        p.add_argument("--load-q", type=float, default=0.3)
+        p.add_argument("--dg-cap", type=float, default=1000.0)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -319,23 +235,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     level = os.environ.get("FAIRHC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv = ["fairhc"] + argv
     try:
-        return args.func(args)
+        args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _SOLVER_ERRORS as exc:
+    except (NonConvergence, SingularJacobian) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FairHCError as exc:
+    except (FairHCError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

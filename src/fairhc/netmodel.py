@@ -370,8 +370,8 @@ def feeder_to_dict(record) -> dict:
     return raw
 
 
-def serialize_feeder(feeder: Feeder, indent: int = 2) -> str:
-    return json.dumps(feeder_to_dict(feeder), indent=indent)
+def serialize_feeder(feeder: Feeder) -> str:
+    return json.dumps(feeder_to_dict(feeder), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -176,13 +176,16 @@ def frontier_to_csv(frontier: Frontier) -> str:
 
 
 def points_from_csv(text: str) -> list[ParetoPoint]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    rows = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows or rows[0][1] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
+    as_float = lambda s: float(s) if s else math.nan
     points = []
-    for ln in lines[1:]:
-        family, param, hc, pof, g, status = ln.split(",")
-        as_float = lambda s: float(s) if s else math.nan
+    for no, ln in rows[1:]:
+        cells = ln.split(",")
+        if len(cells) != 6:
+            raise ValueError(f"line {no}: expected 6 comma-separated fields, got {len(cells)}")
+        family, param, hc, pof, g, status = cells
         points.append(ParetoPoint(family, as_float(param), as_float(hc),
                                   as_float(pof), as_float(g), status))
     return points

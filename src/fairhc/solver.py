@@ -61,7 +61,7 @@ class HCSolution:
     allocation: np.ndarray  # kW per load
     hc_total: float  # kW
     policy: FairnessPolicy
-    status: str  # optimal | infeasible | max_iter | failed
+    status: str  # optimal | max_iter; an infeasible problem raises Infeasible
     kkt_residual: float
     binding: list[str] = field(default_factory=list)
     iterations: tuple[int, int] = (0, 0)  # (outer, inner)

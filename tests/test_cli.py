@@ -1,7 +1,10 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import fairhc.cli
 from fairhc.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from fairhc.pareto import CSV_HEADER
 
@@ -109,6 +112,21 @@ class TestSolve:
             main(["solve", feeder_path, "--policy", "utilitarian", flag, "1"])
         assert exc.value.code == EXIT_INPUT
 
+    def test_zero_grid_steps_exits_before_reference_solves(self, capsys, feeder_path,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(fairhc.cli, "solve_references", lambda nf: calls.append(nf))
+        code = main(["solve", feeder_path, "--policy", "bounded:alpha=0.5,beta=0.5",
+                     "--oracle", "--grid-steps", "0"])
+        assert code == EXIT_INPUT
+        assert "grid_steps must be >= 1" in capsys.readouterr().err
+        assert calls == []
+
+    def test_grid_steps_needs_oracle(self, capsys, feeder_path):
+        code = main(["solve", feeder_path, "--policy", "utilitarian", "--grid-steps", "5"])
+        assert code == EXIT_INPUT
+        assert "--grid-steps needs --oracle" in capsys.readouterr().err
+
     def test_oracle_route(self, capsys, feeder_path):
         code, payload = run_json(capsys, ["solve", feeder_path, "--policy",
                                           "utilitarian", "--oracle",
@@ -164,6 +182,18 @@ class TestExperimentCommand:
         assert set(payload) >= {"linear", "branched", "pof_gap", "linear_loses_more"}
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["pareto", "--family", "bounded_upper", "--steps", "2"]])
+    def test_exits_2_naming_the_path(self, capsys, feeder_path, tmp_path, argv):
+        out = str(tmp_path / "missing" / "out.txt")
+        code = main([argv[0], feeder_path, *argv[1:], "--out", out])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_byte_identical_with_pinned_epoch(self, feeder_path, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -177,3 +207,27 @@ class TestDeterminism:
     def test_log_env_accepted(self, capsys, feeder_path, monkeypatch):
         monkeypatch.setenv("FAIRHC_LOG", "DEBUG")
         assert main(["validate", feeder_path]) == EXIT_OK
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+GOLDEN_RUNS = {
+    "validate": ["validate", "feeder.json"],
+    "stats": ["stats", "feeder.json"],
+    "pf": ["pf", "feeder.json", "--dg", "10,5"],
+    "solve": ["solve", "feeder.json", "--policy", "egalitarian"],
+    "knee": ["knee", "frontier.csv"],
+    "synth": ["synth", "--n-loads", "3", "--layout", "branched"],
+    "experiment": ["experiment", "--n-loads", "2"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_output_matches_golden(name, capsys, tmp_path, monkeypatch):
+    """Each subcommand prints exactly the bytes stored in tests/data/cli; the
+    run uses a pinned epoch and relative paths, so the manifest is stable."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    monkeypatch.chdir(tmp_path)
+    for src in ("feeder.json", "frontier.csv"):
+        shutil.copy(GOLDEN / src, tmp_path)
+    assert main(GOLDEN_RUNS[name]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()

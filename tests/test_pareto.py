@@ -160,3 +160,8 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             points_from_csv("nope\n1,2,3,4,5,6\n")
+
+    def test_short_row_names_its_line(self):
+        text = CSV_HEADER + "\nbargaining,0.5,1,0,0,optimal\n\nbogus\n"
+        with pytest.raises(ValueError, match="line 4: expected 6 comma-separated fields, got 1"):
+            points_from_csv(text)
