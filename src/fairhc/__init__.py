@@ -18,7 +18,7 @@ from .errors import (
     ZeroUtilitarianHC,
 )
 from .formulation import FairnessPolicy, HCProblem, References, build_problem, parse_policy, policy_string
-from .kpi import KpiReport, gini, kpi_report, price_of_fairness
+from .kpi import gini, price_of_fairness
 from .netmodel import (
     Bus,
     Feeder,

@@ -170,7 +170,7 @@ def _cmd_knee(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    _emit(args, serialize_feeder(generate_feeder(_spec(args, args.layout, seed=args.seed))) + "\n")
+    _emit(args, serialize_feeder(generate_feeder(_spec(args, args.layout))) + "\n")
 
 
 def _cmd_experiment(args) -> None:
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("knee", _cmd_knee, "knee point of a frontier CSV", "frontier")
     synth = command("synth", _cmd_synth, "generate a synthetic feeder JSON")
     synth.add_argument("--layout", choices=("linear", "branched"), default="linear")
-    synth.add_argument("--seed", type=int, default=0)
     experiment = command("experiment", _cmd_experiment,
                          "matched linear-vs-branched topology comparison")
     for p in (synth, experiment):
@@ -238,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = ["fairhc"] + argv
     try:
+        # a missing or read-only --out directory fails before any work is done
+        if args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
+            raise FairHCError(f"cannot write {args.out}: directory missing or not writable")
         args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -85,6 +85,13 @@ def policy_string(policy: FairnessPolicy) -> str:
     return policy.variant
 
 
+def disparity(p: np.ndarray) -> float | np.ndarray:
+    """Bargaining's penalty: the largest deviation from the mean, loads on the last axis."""
+    if not p.shape[-1]:
+        return np.zeros(p.shape[:-1])
+    return np.max(np.abs(p - p.mean(axis=-1, keepdims=True)), axis=-1)
+
+
 @dataclass(frozen=True)
 class References:
     """Cached reference solutions (per unit) needed by the bounded policy."""
@@ -122,10 +129,8 @@ class HCProblem:
         A 1-D allocation gives a float; a stack of allocations gives one value each.
         """
         value = p.sum(axis=-1)
-        if self.policy.variant == "bargaining" and p.shape[-1]:
-            k = self.policy.k
-            disparity = np.max(np.abs(p - p.mean(axis=-1, keepdims=True)), axis=-1)
-            value = k * value - (1.0 - k) * disparity
+        if self.policy.variant == "bargaining":
+            value = self.policy.k * value - (1.0 - self.policy.k) * disparity(p)
         return float(value) if p.ndim == 1 else value
 
 

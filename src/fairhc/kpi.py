@@ -2,24 +2,10 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ZeroUtilitarianHC
-
-
-@dataclass(frozen=True)
-class KpiReport:
-    pof: float
-    gini: float
-    hc_uti_ref: float  # kW
-    hc_fair: float  # kW
-    n: int
-    mean_allocation: float  # kW
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def price_of_fairness(hc_uti: float, hc_fair: float) -> float:
@@ -56,17 +42,3 @@ def gini(allocation) -> float:
     total = np.abs(p[:, None] - p[None, :]).sum()
     # divide by the sum, not the mean: the mean of subnormal values can underflow to 0
     return float(total / (2.0 * n * p.sum()))
-
-
-def kpi_report(hc_uti: float, allocation_fair) -> KpiReport:
-    """Bundle both metrics for one fair solution against a utilitarian reference (kW)."""
-    p = np.asarray(allocation_fair, dtype=float)
-    hc_fair = float(p.sum())
-    return KpiReport(
-        pof=price_of_fairness(hc_uti, hc_fair),
-        gini=gini(p),
-        hc_uti_ref=hc_uti,
-        hc_fair=hc_fair,
-        n=len(p),
-        mean_allocation=float(p.mean()),
-    )

@@ -179,13 +179,17 @@ def points_from_csv(text: str) -> list[ParetoPoint]:
     rows = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not rows or rows[0][1] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
-    as_float = lambda s: float(s) if s else math.nan
+    columns = CSV_HEADER.split(",")
     points = []
     for no, ln in rows[1:]:
         cells = ln.split(",")
-        if len(cells) != 6:
-            raise ValueError(f"line {no}: expected 6 comma-separated fields, got {len(cells)}")
-        family, param, hc, pof, g, status = cells
-        points.append(ParetoPoint(family, as_float(param), as_float(hc),
-                                  as_float(pof), as_float(g), status))
+        if len(cells) != len(columns):
+            raise ValueError(f"line {no}: expected {len(columns)} comma-separated fields, got {len(cells)}")
+        values = []
+        for name, cell in zip(columns[1:-1], cells[1:-1]):
+            try:
+                values.append(float(cell) if cell else math.nan)
+            except ValueError as exc:
+                raise ValueError(f"line {no}: column {name!r}: {exc}") from None
+        points.append(ParetoPoint(cells[0], *values, cells[-1]))
     return points

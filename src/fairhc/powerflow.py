@@ -7,6 +7,9 @@ plan's index arrays scatter those flows into the nodal sums and the Jacobian.
 Newton and the adjoint share the flow partials and the Jacobian builder.  The
 Newton core is batched: a stack of injection vectors is solved simultaneously
 with a dense batched linear solve.  The public single-shot API wraps batch size 1.
+
+``_residual_blocks`` is the one place that sets the order of the constraint vector;
+:class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ class PowerFlowState:
 class ConstraintResiduals:
     """Limit-minus-value margins; a feasible state has every entry >= 0.
 
+    The fields are the blocks of ``_residual_blocks``, in vector order.
     ``thermal`` and ``angle`` hold both orientations: row 0 is the from-side /
     upper margin, row 1 the to-side / lower margin.
     """
@@ -55,9 +59,7 @@ class ConstraintResiduals:
     angle: np.ndarray  # (2, L)
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.v_upper, self.v_lower, self.thermal.ravel(), self.slack_p, self.slack_q, self.angle.ravel()]
-        )
+        return np.concatenate(list(vars(self).values()), axis=None)
 
     def min(self) -> float:
         return float(self.as_vector().min())
@@ -166,7 +168,8 @@ def _jacobian(plan: FeederPlan, d):
 
 
 class _BatchResult(NamedTuple):
-    """Raw arrays from a batched Newton solve (shapes lead with batch size)."""
+    """Raw arrays from a batched Newton solve (shapes lead with batch size);
+    the first ten fields are those of :class:`PowerFlowState`."""
 
     v: np.ndarray
     theta: np.ndarray
@@ -176,9 +179,9 @@ class _BatchResult(NamedTuple):
     q_flow_rev: np.ndarray
     p_slack: np.ndarray
     q_slack: np.ndarray
-    converged: np.ndarray
-    mismatch: np.ndarray
     iterations: np.ndarray
+    mismatch: np.ndarray
+    converged: np.ndarray
     singular: np.ndarray
 
 
@@ -245,7 +248,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     p, q = pq
     return _BatchResult(
         v, theta, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
-        p_slack, q_slack, converged, mismatch, iterations, singular,
+        p_slack, q_slack, iterations, mismatch, converged, singular,
     )
 
 
@@ -268,13 +271,8 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL) 
                 else f"diverged at iteration {it}")
         raise NonConvergence(f"power flow {what} (last finite mismatch {mis:.3e} pu)",
                              mismatch=mis)
-    return PowerFlowState(
-        v=res.v[0], theta=res.theta[0],
-        p_flow=res.p_flow[0], q_flow=res.q_flow[0],
-        p_flow_rev=res.p_flow_rev[0], q_flow_rev=res.q_flow_rev[0],
-        p_slack=float(res.p_slack[0]), q_slack=float(res.q_slack[0]),
-        iterations=int(res.iterations[0]), max_mismatch=float(res.mismatch[0]),
-    )
+    row = (field[0] for field in res[:10])
+    return PowerFlowState(*(x if x.ndim else x.item() for x in row))
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +280,30 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL) 
 # ---------------------------------------------------------------------------
 
 def _residual_blocks(nf: NormalizedFeeder, s):
-    """Residual components of a :class:`PowerFlowState` or a :class:`_BatchResult`;
-    a batch adds its leading axis to every block."""
+    """The :class:`ConstraintResiduals` fields of a :class:`PowerFlowState` or a
+    :class:`_BatchResult`, in vector order; a batch adds its leading axis to every block."""
     fb, tb = nf.from_bus, nf.to_bus
     s2 = nf.s_rated**2
     dth = s.theta[..., fb] - s.theta[..., tb]
     return (
         nf.v_max - s.v,
         s.v - nf.v_min,
-        s2 - (s.p_flow**2 + s.q_flow**2),
-        s2 - (s.p_flow_rev**2 + s.q_flow_rev**2),
+        np.stack([s2 - (s.p_flow**2 + s.q_flow**2),
+                  s2 - (s.p_flow_rev**2 + s.q_flow_rev**2)], axis=-2),
         np.stack([nf.slack_p_max - s.p_slack, s.p_slack + nf.slack_p_max], axis=-1),
         np.stack([nf.slack_q_max - s.q_slack, s.q_slack + nf.slack_q_max], axis=-1),
-        nf.dtheta_max[fb] - dth,
-        dth - nf.dtheta_min[fb],
+        np.stack([nf.dtheta_max[fb] - dth, dth - nf.dtheta_min[fb]], axis=-2),
     )
 
 
 def constraint_residuals(state: PowerFlowState, nf: NormalizedFeeder) -> ConstraintResiduals:
     """Margins of Ohm/Kirchhoff-feasible state against every operational limit."""
-    v_upper, v_lower, th_f, th_r, sp, sq, ang_u, ang_l = _residual_blocks(nf, state)
-    return ConstraintResiduals(
-        v_upper=v_upper,
-        v_lower=v_lower,
-        thermal=np.stack([th_f, th_r]),
-        slack_p=sp,
-        slack_q=sq,
-        angle=np.stack([ang_u, ang_l]),
-    )
+    return ConstraintResiduals(*_residual_blocks(nf, state))
 
 
 def residual_min_batch(nf: NormalizedFeeder, res: _BatchResult) -> np.ndarray:
     """Per-point minimum residual for a batched solve (used by the grid oracle)."""
-    return np.min([blk.min(axis=-1) for blk in _residual_blocks(nf, res)], axis=0)
+    return np.min([blk.reshape(len(blk), -1).min(axis=1) for blk in _residual_blocks(nf, res)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +326,9 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     expected = 2 * n + 4 * L + 4
     if weights.shape != (expected,):
         raise ValueError(f"weights must have shape ({expected},)")
-    w_vu, w_vl, w_th, w_s, w_au, w_al = np.split(weights, np.cumsum([n, n, 2 * L, 4, L]))
-    w_ps, w_qs = w_s[1] - w_s[0], w_s[3] - w_s[2]
+    w_vu, w_vl, w_th, w_sp, w_sq, w_ang = np.split(weights, np.cumsum([n, n, 2 * L, 2, 2]))
+    w_ps, w_qs = w_sp[1] - w_sp[0], w_sq[1] - w_sq[0]
+    w_au, w_al = w_ang[:L], w_ang[L:]
     plan = nf.plan
 
     # weight on each oriented flow's P and Q: thermal s^2 - (P^2 + Q^2), and the

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import Infeasible, NonConvergence, SingularJacobian, TooManyLoads
-from .formulation import FairnessPolicy, HCProblem, References, build_problem
+from .formulation import FairnessPolicy, HCProblem, References, build_problem, disparity
 from .netmodel import NormalizedFeeder
 from .powerflow import (
     _solve_batch,
@@ -77,26 +77,27 @@ def _residual_vector(nf: NormalizedFeeder, dg: np.ndarray):
     return state, constraint_residuals(state, nf).as_vector()
 
 
-def _make_solution(nf: NormalizedFeeder, p: np.ndarray, policy: FairnessPolicy,
-                   status: str, kkt: float, c_net: np.ndarray | None,
-                   iterations: tuple[int, int]) -> HCSolution:
+def _feasible(c: np.ndarray | None) -> bool:
+    """Whether a residual vector meets every limit to within ``FEAS_TOL``;
+    None (a failed power flow) does not."""
+    return c is not None and bool(c.min() >= -FEAS_TOL)
+
+
+def _make_solution(nf: NormalizedFeeder, p: np.ndarray, policy: FairnessPolicy, status: str,
+                   c: np.ndarray, iterations: tuple[int, int], kkt: float | None = None) -> HCSolution:
+    """Solution at ``p`` from its verified residual vector ``c``; ``kkt``
+    defaults to the violation of ``c``."""
     sb = nf.s_base
-    binding = []
-    if c_net is not None:
-        labels = residual_labels(nf)
-        binding = [labels[i] for i in np.flatnonzero(c_net < _BINDING_TOL)]
-    disparity = None
-    if policy.variant == "bargaining":
-        disparity = float(np.max(np.abs(p - p.mean()))) * sb if len(p) else 0.0
+    labels = residual_labels(nf)
     return HCSolution(
         allocation=p * sb,
         hc_total=float(p.sum()) * sb,
         policy=policy,
         status=status,
-        kkt_residual=kkt,
-        binding=binding,
+        kkt_residual=max(0.0, -float(c.min())) if kkt is None else kkt,
+        binding=[labels[i] for i in np.flatnonzero(c < _BINDING_TOL)],
         iterations=iterations,
-        disparity=disparity,
+        disparity=float(disparity(p)) * sb if policy.variant == "bargaining" else None,
     )
 
 
@@ -120,20 +121,17 @@ def solve_egalitarian_bisection(nf: NormalizedFeeder,
     def residuals(t: float) -> np.ndarray | None:
         return _residual_vector(nf, np.full(n, t))[1]
 
-    def feasible(c: np.ndarray | None) -> bool:
-        return c is not None and c.min() >= -FEAS_TOL
-
     c_lo = residuals(0.0)
-    if not feasible(c_lo):
+    if not _feasible(c_lo):
         raise Infeasible("baseline (lowest uniform injection) already violates limits")
     c = residuals(nf.dg_cap)
-    if feasible(c):
-        return _make_solution(nf, np.full(n, nf.dg_cap), policy, "optimal", max(0.0, -c.min()), c, (1, 0))
+    if _feasible(c):
+        return _make_solution(nf, np.full(n, nf.dg_cap), policy, "optimal", c, (1, 0))
 
     # prescan; its endpoints are the two probes above
     probes = np.linspace(0.0, nf.dg_cap, 9)
     checks = [c_lo, *(residuals(t) for t in probes[1:-1])]
-    k = max(i for i, c in enumerate(checks) if feasible(c))
+    k = max(i for i, c in enumerate(checks) if _feasible(c))
     lo, hi, c_lo = probes[k], probes[k + 1], checks[k]
 
     outer = 0
@@ -141,12 +139,11 @@ def solve_egalitarian_bisection(nf: NormalizedFeeder,
         outer += 1
         mid = 0.5 * (lo + hi)
         c = residuals(mid)
-        if feasible(c):
+        if _feasible(c):
             lo, c_lo = mid, c
         else:
             hi = mid
-    return _make_solution(nf, np.full(n, lo), policy, "optimal", max(0.0, -float(c_lo.min())), c_lo,
-                          (outer, 0))
+    return _make_solution(nf, np.full(n, lo), policy, "optimal", c_lo, (outer, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
     bounds = list(zip(lo.tolist(), hi.tolist()))
 
     state_low, c_low = _residual_vector(nf, problem.lower)
-    if c_low is None or c_low.min() < -FEAS_TOL:
+    if not _feasible(c_low):
         raise Infeasible("lower-bound allocation already violates operational limits")
 
     def f(z: np.ndarray) -> float:
@@ -230,8 +227,9 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
         return val, grad_f - weighted_grad(z, w)
 
     # the lower bound is always a feasible fallback candidate, and so is the
-    # egalitarian point once re-verified
-    best = (f(lo), lo, max(0.0, -float(c_low.min())))
+    # egalitarian point once re-verified; their kkt is the violation that the
+    # final re-verification reproduces
+    best = (f(lo), lo, None)
     egal = problem.reference_egal
     if egal is None:
         try:
@@ -242,11 +240,11 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
     if egal is not None:
         z_egal = np.clip(np.full(n, egal), problem.lower, problem.upper)
         if barg:
-            z_egal = np.append(z_egal, np.max(np.abs(z_egal - z_egal.mean())) if n else 0.0)
+            z_egal = np.append(z_egal, disparity(z_egal))
         starts.append(z_egal)
         _, c_egal = _residual_vector(nf, z_egal[:n])
-        if c_egal is not None and c_egal.min() >= -FEAS_TOL and f(z_egal) < best[0]:
-            best = (f(z_egal), z_egal, max(0.0, -float(c_egal.min())))
+        if _feasible(c_egal) and f(z_egal) < best[0]:
+            best = (f(z_egal), z_egal, None)
     starts.append(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)))
     unique: dict[bytes, np.ndarray] = {}
     for s in starts:
@@ -277,7 +275,7 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
             # is measured by feasibility plus complementary slackness
             comp = float(np.max(np.abs(lam * c))) if len(c) else 0.0
             measure = max(viol, comp)
-            if viol <= FEAS_TOL:
+            if _feasible(c):
                 fval = f(z)
                 pg = float(np.max(np.abs(np.clip(z - (grad_f - weighted_grad(z, lam)), lo, hi) - z)))
                 if fval < best[0]:
@@ -294,10 +292,10 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
     _, z, kkt = best
     p = z[:n]
     _, c_net = _residual_vector(nf, p)  # independent re-verification
-    if c_net is None or c_net.min() < -FEAS_TOL:
+    if not _feasible(c_net):
         p, c_net, kkt, converged = problem.lower, c_low, np.inf, False
     status = "optimal" if converged else "max_iter"
-    return _make_solution(nf, p, problem.policy, status, kkt, c_net, (outer_total, inner_total))
+    return _make_solution(nf, p, problem.policy, status, c_net, (outer_total, inner_total), kkt)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +315,13 @@ def solve_hc(problem: HCProblem) -> HCSolution:
         sol.disparity = 0.0
         return sol
     if np.all(problem.upper - problem.lower <= 1e-12):
+        # every bound fixed: SciPy's L-BFGS-B then returns no ``nit``, which the
+        # AL reads, so this box keeps its own route
         p = problem.lower.copy()
         _, c = _residual_vector(nf, p)
-        if c is None or c.min() < -FEAS_TOL:
+        if not _feasible(c):
             raise Infeasible("degenerate box is infeasible")
-        return _make_solution(nf, p, policy, "optimal", max(0.0, -float(c.min())), c, (1, 0))
+        return _make_solution(nf, p, policy, "optimal", c, (1, 0))
     return solve_nlp_al(problem)
 
 
@@ -460,7 +460,7 @@ def brute_force_oracle_batch(problems: list[HCProblem],
         n_slabs = 1 if first.tie or first.n_loads == 1 else grid_steps
         best = _sweep(nf, objectives, pts, n_slabs)
         checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
-        if n_slabs > 1 and not all(c is not None and c.min() >= -FEAS_TOL for c in checks):
+        if n_slabs > 1 and not all(_feasible(c) for c in checks):
             # a predicted start converged where a flat start does not: sweep
             # the group again from flat starts only
             best = _sweep(nf, objectives, pts, 1)
@@ -468,6 +468,5 @@ def brute_force_oracle_batch(problems: list[HCProblem],
         for j, p, c_net in zip(members, best, checks):
             if p is None:
                 raise Infeasible("no feasible grid point")
-            out[j] = _make_solution(nf, p, problems[j].policy, "optimal",
-                                    max(0.0, -float(c_net.min())), c_net, (0, len(pts)))
+            out[j] = _make_solution(nf, p, problems[j].policy, "optimal", c_net, (0, len(pts)))
     return out  # type: ignore[return-value]

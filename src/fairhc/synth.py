@@ -38,7 +38,6 @@ class SynthSpec:
     conductor: Conductor = field(default_factory=Conductor)
     load_p_kw: float = 1.0
     load_q_kvar: float = 0.3
-    seed: int = 0  # reserved for future randomized layouts
     v_base_v: float = 230.0
     s_base_kva: float = 100.0
     dg_cap_kw: float = 1000.0

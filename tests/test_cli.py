@@ -156,6 +156,13 @@ class TestParetoAndKnee:
     def test_knee_missing_file(self, tmp_path):
         assert main(["knee", str(tmp_path / "nope.csv")]) == EXIT_INPUT
 
+    def test_knee_bad_cell_names_line_and_column(self, capsys, tmp_path):
+        path = tmp_path / "frontier.csv"
+        path.write_text(CSV_HEADER + "\nbargaining,x,1,0,0,optimal\n")
+        assert main(["knee", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: line 2: column 'param': could not convert string to float: 'x'\n")
+
 
 class TestSynthCommand:
     def test_emits_valid_feeder(self, capsys, tmp_path):
@@ -184,14 +191,21 @@ class TestExperimentCommand:
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("argv", [["validate"],
-                                      ["pareto", "--family", "bounded_upper", "--steps", "2"]])
-    def test_exits_2_naming_the_path(self, capsys, feeder_path, tmp_path, argv):
-        out = str(tmp_path / "missing" / "out.txt")
-        code = main([argv[0], feeder_path, *argv[1:], "--out", out])
+                                      ["pareto", "--family", "bounded_upper", "--steps", "2"],
+                                      ["solve", "--policy", "egalitarian"]])
+    def test_exits_2_naming_the_path(self, capsys, feeder_path, tmp_path, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(fairhc.cli, "sweep", no_work)
+        monkeypatch.setattr(fairhc.cli, "solve_hc", no_work)
+        out = tmp_path / "missing" / "out.txt"
+        code = main([argv[0], feeder_path, *argv[1:], "--out", str(out)])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
+        assert not out.parent.exists()
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairhc.errors import ZeroUtilitarianHC
-from fairhc.kpi import gini, kpi_report, price_of_fairness
+from fairhc.kpi import gini, price_of_fairness
 
 
 class TestPriceOfFairness:
@@ -100,18 +100,3 @@ class TestGini:
         g = gini(p)
         n = len(p)
         assert -1e-12 <= g <= (n - 1) / n + 1e-12
-
-
-class TestKpiReport:
-    def test_bundle(self):
-        report = kpi_report(100.0, [20.0, 40.0])
-        assert report.hc_fair == 60.0
-        assert report.pof == pytest.approx(0.4)
-        assert report.gini == pytest.approx(gini([20.0, 40.0]))
-        assert report.n == 2
-        assert report.mean_allocation == 30.0
-
-    def test_to_dict_round_trip(self):
-        d = kpi_report(100.0, [50.0, 50.0]).to_dict()
-        assert d["pof"] == pytest.approx(0.0)
-        assert d["gini"] == 0.0

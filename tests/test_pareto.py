@@ -165,3 +165,6 @@ class TestCsv:
         text = CSV_HEADER + "\nbargaining,0.5,1,0,0,optimal\n\nbogus\n"
         with pytest.raises(ValueError, match="line 4: expected 6 comma-separated fields, got 1"):
             points_from_csv(text)
+        text = CSV_HEADER + "\nbargaining,0.5,1,0,0,optimal\nbargaining,0.6,1,0,g,optimal\n"
+        with pytest.raises(ValueError, match="line 3: column 'gini': could not convert"):
+            points_from_csv(text)

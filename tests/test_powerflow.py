@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from fairhc.powerflow import (
     PowerFlowState,
     _flow_partials,
     _jacobian,
+    _residual_blocks,
     _solve_batch,
     adjoint_gradient,
     constraint_residuals,
     residual_labels,
+    residual_min_batch,
     solve_power_flow,
 )
 
@@ -156,6 +159,19 @@ class TestConstraintResiduals:
         res = constraint_residuals(solve_power_flow(br4, np.zeros(3)), br4)
         assert len(res.as_vector()) == len(residual_labels(br4))
 
+    def test_fields_and_labels_follow_the_blocks(self, br4):
+        state = solve_power_flow(br4, np.array([0.3, 0.2, 0.1]))
+        res = constraint_residuals(state, br4)
+        blocks = _residual_blocks(br4, state)
+        fields = [f.name for f in dataclasses.fields(ConstraintResiduals)]
+        assert len(fields) == len(blocks)
+        labels = iter(residual_labels(br4))
+        for name, block in zip(fields, blocks):
+            assert np.array_equal(getattr(res, name), block)
+            for _ in range(block.size):  # thermal_fwd[...], slack_p_upper, ...
+                assert next(labels).startswith(name)
+        assert next(labels, None) is None
+
     def test_angle_margins_symmetric_at_flat(self):
         nf = mk(2, 0, [(0, 1, 0.05, 0.01)], [], p_demand=0.0, q_demand=0.0)
         res = constraint_residuals(solve_power_flow(nf, np.zeros(0)), nf)
@@ -215,6 +231,24 @@ def test_warm_start_converges_to_flat_state_in_fewer_steps(seed):
     assert np.all(warm.iterations < flat.iterations)
     assert np.abs(warm.v - flat.v).max() < 1e-8
     assert np.abs(warm.theta - flat.theta).max() < 1e-8
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_batch_rows_match_single_state_residuals(seed):
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    dg = rng.uniform(0.0, 3.0, size=(6, nf.n_loads))
+    res = _solve_batch(nf, dg)
+    mins = residual_min_batch(nf, res)
+    blocks = _residual_blocks(nf, res)
+    assert res.converged.any()
+    for i in np.flatnonzero(res.converged):
+        row = PowerFlowState(*(field[i] for field in res[:10]))
+        vector = constraint_residuals(row, nf).as_vector()
+        assert np.array_equal(np.concatenate([blk[i].ravel() for blk in blocks]), vector)
+        single = constraint_residuals(solve_power_flow(nf, dg[i]), nf)
+        assert mins[i] == pytest.approx(single.min(), abs=1e-12)
+        assert single.as_vector() == pytest.approx(vector, abs=1e-12)
 
 
 class TestAdjointGradient:

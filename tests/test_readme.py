@@ -1,12 +1,13 @@
 """The README's examples stay runnable: every ``fairhc`` command line of the
-CLI block parses, the quick-start block runs, and the file-format section
-names every key that the parser accepts."""
+CLI block parses, the quick-start block runs, the file-format section names
+every key that the parser accepts, and the package layout lists every module."""
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import fairhc
 from fairhc.cli import build_parser
 from fairhc.netmodel import _FORMAT
 
@@ -42,3 +43,10 @@ def test_format_section_names_every_key():
     named = set(re.findall(r"\w+", section))
     keys = {key for table in _FORMAT.values() for key in table}
     assert keys <= named, sorted(keys - named)
+
+
+def test_package_layout_lists_every_module():
+    block = README.split("## Package layout")[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.M))
+    modules = {p.name for p in Path(fairhc.__file__).parent.glob("*.py")} - {"__init__.py"}
+    assert listed == modules
