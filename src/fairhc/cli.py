@@ -237,7 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = ["fairhc"] + argv
     try:
-        # a missing or read-only --out directory fails before any work is done
+        # an --out that cannot be written fails before any work is done
+        if args.out and os.path.isdir(args.out):
+            raise FairHCError(f"cannot write {args.out}: is a directory")
         if args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
             raise FairHCError(f"cannot write {args.out}: directory missing or not writable")
         args.func(args)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,8 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs:
 
     params = np.linspace(0.0, 1.0, steps)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off every command's start-up
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_solve_point, nf, family, float(t), refs, uti.hc_total)
                        for t in params]

@@ -4,9 +4,12 @@ residuals and adjoint sensitivities of those residuals w.r.t. DG injections.
 Each feeder compiles once into a :class:`FeederPlan` (cached as ``nf.plan``):
 every line appears as two oriented flows, one measured at each end, and the
 plan's index arrays scatter those flows into the nodal sums and the Jacobian.
-Newton and the adjoint share the flow partials and the Jacobian builder.  The
-Newton core is batched: a stack of injection vectors is solved simultaneously
-with a dense batched linear solve.  The public single-shot API wraps batch size 1.
+A Newton step evaluates cos/sin of the flows' angle differences once; the
+mismatch and the flow partials both read them, and the Jacobian is built by
+scattering its structural nonzeros into zeros.  The adjoint shares the partials
+and the Jacobian builder.  The Newton core is batched: a stack of injection
+vectors is solved simultaneously with a dense batched linear solve, and points
+drop out of the stack as they finish.  The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
@@ -82,6 +85,7 @@ def residual_labels(nf: NormalizedFeeder) -> list[str]:
 # Branch flow model.  For a series admittance y = g + jb measured at end m:
 #   P_mn = g Vm^2 - Vm Vn (g cos(t) + b sin(t)),  t = theta_m - theta_n
 #   Q_mn = -b Vm^2 + Vm Vn (b cos(t) - g sin(t))
+# Q is P's expression with (g, b) replaced by (-b, g), so both share one.
 # ---------------------------------------------------------------------------
 
 class FeederPlan(NamedTuple):
@@ -89,19 +93,20 @@ class FeederPlan(NamedTuple):
 
     The state is ``(theta[ns], v[ns])`` and the mismatch rows are
     ``(P[ns], Q[ns])``.  Oriented flow ``k < L`` is line ``k`` measured at its
-    from-bus; flow ``L + k`` is the same line measured at its to-bus, so the
-    reverse of flow ``k`` is flow ``(k + L) % 2L``.
+    from-bus; flow ``L + k`` is the same line measured at its to-bus.
     """
 
     ns: np.ndarray  # (m,) non-slack buses in state order
     pos: np.ndarray  # (n,) state position of each bus, -1 at the slack
     at: np.ndarray  # (2L,) bus where each oriented flow is measured
     other: np.ndarray  # (2L,) bus at the far end
-    g: np.ndarray  # (2L,)
-    b: np.ndarray  # (2L,)
+    rev: np.ndarray  # (2L,) the same line measured at the other end, (k + L) % 2L
+    g: np.ndarray  # (2, 1, 2L) the conductance in P's row, -b in Q's
+    b: np.ndarray  # (2, 1, 2L) the susceptance in P's row, g in Q's
     inc: np.ndarray  # (2L, n) 0/1; ``flows @ inc`` sums the flows into their measuring bus
+    inc_ns: np.ndarray  # (2L, m) the non-slack columns of ``inc``
     off: np.ndarray  # (K,) oriented flows with both ends non-slack
-    jac_src: np.ndarray  # (2m, 2m) column of :func:`_jacobian`'s per-point values each entry reads
+    jac_pos: np.ndarray  # (2, 2, m + K) flat Jacobian position of each value :func:`_jacobian` scatters
 
 
 def build_plan(nf: NormalizedFeeder) -> FeederPlan:
@@ -120,51 +125,53 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     inc = np.zeros((2 * L, n))
     inc[np.arange(2 * L), at] = 1.0
     off = np.flatnonzero((pos[at] >= 0) & (pos[other] >= 0))
-    # _jacobian lays its values out as (block, 1 + m + K) for the blocks P-theta,
-    # P-V, Q-theta, Q-V: a zero, the diagonal (per-bus sums), one entry per flow in `off`
-    rows = np.concatenate([np.arange(m), pos[at[off]]]) + np.array([[0], [0], [m], [m]])
-    cols = np.concatenate([np.arange(m), pos[other[off]]]) + np.array([[0], [m], [0], [m]])
-    jac_src = np.zeros((2 * m, 2 * m), dtype=int)  # structural zeros read column 0
-    jac_src[rows, cols] = np.arange(4 * (1 + m + len(off))).reshape(4, -1)[:, 1:]
-    return FeederPlan(ns, pos, at, other, np.tile(nf.g, 2), np.tile(nf.b, 2), inc, off, jac_src)
+    # _jacobian's values per (theta/V column block, P/Q row block): the diagonal
+    # (per-bus sums), then one entry per flow in `off`
+    rows = np.concatenate([np.arange(m), pos[at[off]]])
+    cols = np.concatenate([np.arange(m), pos[other[off]]])
+    blk = np.array([0, m])
+    jac_pos = (blk[None, :, None] + rows) * (2 * m) + blk[:, None, None] + cols
+    g, b = np.tile(nf.g, 2), np.tile(nf.b, 2)
+    return FeederPlan(ns, pos, at, other, (np.arange(2 * L) + L) % (2 * L),
+                      np.array([[g], [-b]]), np.array([[b], [g]]), inc, inc[:, ns], off, jac_pos)
 
 
 def _ends(plan: FeederPlan, v, theta):
-    """(Vm, Vn, cos t, sin t) of every oriented flow."""
+    """(Vm, Vn, cos t, sin t) of every oriented flow: the one trig evaluation
+    that the flows and their partials share."""
     t = theta[..., plan.at] - theta[..., plan.other]
     return v[..., plan.at], v[..., plan.other], np.cos(t), np.sin(t)
 
 
-def _flows(plan: FeederPlan, v, theta):
+def _flows(plan: FeederPlan, ends):
     """(2, ..., 2L): P and Q of every oriented flow."""
-    vm, vn, c, s = _ends(plan, v, theta)
+    vm, vn, c, s = ends
     g, b = plan.g, plan.b
-    return np.array([g * vm**2 - vm * vn * (g * c + b * s), -b * vm**2 + vm * vn * (b * c - g * s)])
+    return g * vm**2 - vm * vn * (g * c + b * s)
 
 
-def _flow_partials(plan: FeederPlan, v, theta):
-    """(4, 2, ..., 2L): d/dtheta P, d/dV P, d/dtheta Q, d/dV Q of every oriented
-    flow, each w.r.t. the measuring end (column 0) and the far end (column 1)."""
-    vm, vn, c, s = _ends(plan, v, theta)
+def _flow_partials(plan: FeederPlan, ends):
+    """(2, 2, 2, ..., 2L): partials of every oriented flow w.r.t. its measuring
+    end (index 0) and its far end (index 1), then w.r.t. theta and V, then of P and Q."""
+    vm, vn, c, s = ends
     g, b = plan.g, plan.b
-    dp_dtm = vm * vn * (g * s - b * c)
-    dq_dtm = -vm * vn * (b * s + g * c)
-    return np.array([
-        [dp_dtm, -dp_dtm],
-        [2.0 * g * vm - vn * (g * c + b * s), -vm * (g * c + b * s)],
-        [dq_dtm, -dq_dtm],
-        [-2.0 * b * vm + vn * (b * c - g * s), vm * (b * c - g * s)],
-    ])
+    u = g * c + b * s
+    d = np.empty((2, 2, *u.shape))
+    np.multiply(vm * vn, g * s - b * c, out=d[0, 0])
+    np.negative(d[0, 0], out=d[1, 0])
+    np.subtract(2.0 * g * vm, vn * u, out=d[0, 1])
+    np.multiply(-vm, u, out=d[1, 1])
+    return d
 
 
-def _jacobian(plan: FeederPlan, d):
-    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the
-    (4, 2, B, 2L) flow partials of B states."""
-    diag = d[:, 0] @ plan.inc[:, plan.ns]  # measuring-end partials summed per bus
-    off = d[:, 1][..., plan.off]  # far-end partials, one per off-diagonal entry
-    vals = np.zeros((d.shape[2], 4, 1 + diag.shape[-1] + off.shape[-1]))
-    vals[..., 1:] = np.moveaxis(np.concatenate([diag, off], axis=-1), 0, 1)
-    return np.take(vals.reshape(d.shape[2], -1), plan.jac_src, axis=1)
+def _jacobian(plan: FeederPlan, d, J):
+    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the flow
+    partials of B states, written into ``J``, which must be zero off its structural nonzeros."""
+    m = len(plan.ns)
+    flat = J.reshape(len(J), -1)
+    flat[:, plan.jac_pos[..., :m]] = (d[0] @ plan.inc_ns).transpose(2, 0, 1, 3)  # measuring ends, summed per bus
+    flat[:, plan.jac_pos[..., m:]] = d[1][..., plan.off].transpose(2, 0, 1, 3)  # far ends, one per entry
+    return J
 
 
 class _BatchResult(NamedTuple):
@@ -190,8 +197,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     """Newton from ``start = (v, theta)``, each ``(B, n)`` with the slack at 1
     and 0, or from a flat start.
 
-    ``iterations`` holds the step at which each point converged, diverged or
-    hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
+    ``iterations`` holds the step at which each point converged, diverged,
+    turned singular or hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
     """
     plan = nf.plan
     ns = plan.ns
@@ -205,45 +212,51 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
         v, theta = np.ones((B, n)), np.zeros((B, n))
     else:
         v, theta = (np.array(a, dtype=float) for a in start)
-    converged = np.zeros(B, dtype=bool)
-    singular = np.zeros(B, dtype=bool)
+    pq = np.empty((2, B, 2 * L))
+    J_buf = np.zeros((B, 2 * m, 2 * m))  # reused by every step: the structural zeros stay zero
+    converged, singular = np.zeros((2, B), dtype=bool)
     iterations = np.zeros(B, dtype=int)
     mismatch = np.full(B, np.inf)
 
-    idx = np.arange(B)  # active (undecided) points; converged, diverged and singular ones drop out
+    # The undecided points, compacted whenever one leaves: when it converges,
+    # diverges or hits PF_MAX_ITER, and one step after its Jacobian turned out
+    # singular (its state unchanged).  A point's results are written as it leaves.
+    idx, va, ta, inj_a, last, sing = np.arange(B), v, theta, inj, mismatch.copy(), singular.copy()
     with np.errstate(all="ignore"):
         for it in range(PF_MAX_ITER + 1):
-            p_calc, q_calc = _flows(plan, v[idx], theta[idx]) @ plan.inc
-            F = np.concatenate([p_calc[:, ns], q_calc[:, ns]], axis=1) - inj[idx]
-            bad = ~np.isfinite(F).all(axis=1) | (v[idx][:, ns].min(axis=1) < _V_FLOOR)
-            mis = np.abs(np.where(np.isfinite(F), F, np.inf)).max(axis=1) if m > 0 else np.zeros(len(idx))
-            conv = ~bad & (mis < tol)
-            iterations[idx] = it
-            converged[idx[conv]] = True
+            ends = _ends(plan, va, ta)
+            flows = _flows(plan, ends)
+            p_calc, q_calc = flows @ plan.inc
+            F = np.concatenate([p_calc[:, ns], q_calc[:, ns]], axis=1) - inj_a
+            # NaN or inf where F is not finite
+            mis = np.abs(F).max(axis=1) if m > 0 else np.zeros(len(idx))
             finite = np.isfinite(mis)
-            mismatch[idx[finite]] = mis[finite]
-            keep = ~conv & ~bad
-            idx = idx[keep]
-            if len(idx) == 0 or it == PF_MAX_ITER:
+            bad = ~finite | (va[:, ns].min(axis=1) < _V_FLOOR)
+            last = np.where(finite, mis, last)
+            conv = ~bad & (mis < tol)
+            leave = conv | bad | sing | (it == PF_MAX_ITER)
+            if leave.any():
+                out, keep = idx[leave], ~leave
+                v[out], theta[out], pq[:, out] = va[leave], ta[leave], flows[:, leave]
+                iterations[out] = it - sing[leave]
+                mismatch[out], converged[out], singular[out] = last[leave], conv[leave], sing[leave]
+                idx, va, ta, inj_a, last, sing, F = (a[keep] for a in (idx, va, ta, inj_a, last, sing, F))
+                ends = tuple(a[keep] for a in ends)
+            if len(idx) == 0:
                 break
-            F = F[keep]
-            J = _jacobian(plan, _flow_partials(plan, v[idx], theta[idx]))
+            J = _jacobian(plan, _flow_partials(plan, ends), J_buf[:len(idx)])
             try:
                 dx = np.linalg.solve(J, -F[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 dx = np.zeros_like(F)
-                sing_local = np.zeros(len(idx), dtype=bool)
                 for i in range(len(idx)):
                     try:
                         dx[i] = np.linalg.solve(J[i], -F[i])
                     except np.linalg.LinAlgError:
-                        sing_local[i] = True
-                singular[idx[sing_local]] = True
-            theta[idx[:, None], ns[None, :]] += dx[:, :m]
-            v[idx[:, None], ns[None, :]] += dx[:, m:]
-            idx = idx[~singular[idx]]
+                        sing[i] = True
+            ta[:, ns] += dx[:, :m]
+            va[:, ns] += dx[:, m:]
 
-        pq = _flows(plan, v, theta)
         p_slack, q_slack = (pq @ plan.inc)[..., nf.slack]
     p, q = pq
     return _BatchResult(
@@ -326,9 +339,9 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     expected = 2 * n + 4 * L + 4
     if weights.shape != (expected,):
         raise ValueError(f"weights must have shape ({expected},)")
-    w_vu, w_vl, w_th, w_sp, w_sq, w_ang = np.split(weights, np.cumsum([n, n, 2 * L, 2, 2]))
-    w_ps, w_qs = w_sp[1] - w_sp[0], w_sq[1] - w_sq[0]
-    w_au, w_al = w_ang[:L], w_ang[L:]
+    o = 2 * (n + L)  # the slack blocks start after v_upper, v_lower and thermal
+    w_vu, w_vl, w_th = weights[:n], weights[n:2 * n], weights[2 * n:o]
+    w_ps, w_qs, w_ang = weights[o + 1] - weights[o], weights[o + 3] - weights[o + 2], weights[o + 4:]
     plan = nf.plan
 
     # weight on each oriented flow's P and Q: thermal s^2 - (P^2 + Q^2), and the
@@ -336,12 +349,13 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     at_slack = plan.at == nf.slack
     c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
     c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
-    d = _flow_partials(plan, state.v[None], state.theta[None])
-    J = _jacobian(plan, d)[0]
-    d = c_p * d[:2, :, 0] + c_q * d[2:, :, 0]  # (theta, v) x (measuring end, far end)
-    # the far end of flow k is the measuring end of its reverse, flow k + L
-    per_flow = d[:, 0] + np.roll(d[:, 1], L, axis=-1)
-    per_flow[0] += np.concatenate([w_al - w_au, w_au - w_al])  # angle margins on theta_from - theta_to
+    d = _flow_partials(plan, _ends(plan, state.v[None], state.theta[None]))
+    m2 = 2 * len(plan.ns)
+    J = _jacobian(plan, d, np.zeros((1, m2, m2)))[0]
+    d = c_p * d[:, :, 0, 0] + c_q * d[:, :, 1, 0]  # (measuring end, far end) x (theta, v)
+    # the far end of flow k is the measuring end of its reverse
+    per_flow = d[0] + d[1][:, plan.rev]
+    per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
     rhs = per_flow @ plan.inc
     rhs[1] += w_vl - w_vu
     try:

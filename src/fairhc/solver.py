@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import Infeasible, NonConvergence, SingularJacobian, TooManyLoads
 from .formulation import FairnessPolicy, HCProblem, References, build_problem, disparity
@@ -54,6 +53,14 @@ _PENALTY_TRIGGER = 4.0  # grow penalty unless violation shrank by this factor
 _PG_TOL = 1e-6  # projected-gradient stationarity target
 _COMP_TOL = 1e-8  # complementary-slackness target, max_i |lambda_i c_i|
 _BISECT_TOL = 1e-6  # pu bracket width
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: only the augmented
+    Lagrangian needs it, and the import costs more than most commands."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass

@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fairhc.cli
+import fairhc.solver
 from fairhc.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.pareto import CSV_HEADER
 
 from conftest import feeder_dict, write_feeder
@@ -190,15 +195,18 @@ class TestExperimentCommand:
 
 
 class TestUnwritableOut:
-    @pytest.mark.parametrize("argv", [["validate"],
-                                      ["pareto", "--family", "bounded_upper", "--steps", "2"],
-                                      ["solve", "--policy", "egalitarian"]])
-    def test_exits_2_naming_the_path(self, capsys, feeder_path, tmp_path, monkeypatch, argv):
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the command ran before --out was checked")
 
         monkeypatch.setattr(fairhc.cli, "sweep", no_work)
         monkeypatch.setattr(fairhc.cli, "solve_hc", no_work)
+
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["pareto", "--family", "bounded_upper", "--steps", "2"],
+                                      ["solve", "--policy", "egalitarian"]])
+    def test_exits_2_naming_the_path(self, capsys, feeder_path, tmp_path, argv):
         out = tmp_path / "missing" / "out.txt"
         code = main([argv[0], feeder_path, *argv[1:], "--out", str(out)])
         assert code == EXIT_INPUT
@@ -206,6 +214,28 @@ class TestUnwritableOut:
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [["pareto", "--family", "bounded_upper", "--steps", "2"],
+                                      ["solve", "--policy", "egalitarian"]])
+    def test_existing_directory_exits_2(self, capsys, feeder_path, tmp_path, argv):
+        code = main([argv[0], feeder_path, *argv[1:], "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: is a directory\n"
+
+
+class TestColdStart:
+    def test_import_loads_neither_optimizer_nor_process_pool(self):
+        code = ("import sys, fairhc, fairhc.cli; "
+                "print(sorted({'scipy.optimize', 'concurrent.futures.process'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_al_solve_keeps_the_minimize_seam(self, lin3):
+        seam = fairhc.solver.minimize
+        fairhc.solver.solve_hc(build_problem(lin3, FairnessPolicy.utilitarian()))
+        assert fairhc.solver.minimize is seam
+        assert seam.__module__ == "fairhc.solver"
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fairhc.netmodel import NormalizedFeeder
 from fairhc.powerflow import (
     ConstraintResiduals,
     PowerFlowState,
+    _ends,
     _flow_partials,
     _jacobian,
     _residual_blocks,
@@ -211,7 +213,8 @@ def test_jacobian_matches_line_loop(seed):
     nf = random_tree(rng)
     v = rng.uniform(0.9, 1.1, size=(3, nf.n_bus))
     theta = rng.uniform(-0.1, 0.1, size=(3, nf.n_bus))
-    J = _jacobian(nf.plan, _flow_partials(nf.plan, v, theta))
+    m2 = 2 * len(nf.plan.ns)
+    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v, theta)), np.zeros((3, m2, m2)))
     for i in range(3):
         assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
 
@@ -233,6 +236,19 @@ def test_warm_start_converges_to_flat_state_in_fewer_steps(seed):
     assert np.abs(warm.theta - flat.theta).max() < 1e-8
 
 
+def test_singular_point_leaves_with_its_state():
+    # on an x-only link the Jacobian at theta = 0, V = 0.5 is exactly singular (2 V cos t = 1)
+    nf = mk(2, 0, [(0, 1, 0.0, 0.1)], [1])
+    v, theta = np.array([[1.0, 1.0], [1.0, 0.5]]), np.zeros((2, 2))
+    res = _solve_batch(nf, np.full((2, 1), 0.3), start=(v, theta))
+    assert res.singular.tolist() == [False, True]
+    assert res.converged.tolist() == [True, False]
+    assert res.iterations[1] == 0
+    assert res.v[1].tolist() == [1.0, 0.5] and res.theta[1].tolist() == [0.0, 0.0]
+    assert res.q_flow[1, 0] == pytest.approx(5.0)  # -b V0^2 + V0 V1 b at b = -10
+    assert res.mismatch[1] == pytest.approx(2.49)  # |Q1 + q_demand| = |-2.5 + 0.01|
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_batch_rows_match_single_state_residuals(seed):
     rng = np.random.default_rng(seed)
@@ -249,6 +265,57 @@ def test_batch_rows_match_single_state_residuals(seed):
         single = constraint_residuals(solve_power_flow(nf, dg[i]), nf)
         assert mins[i] == pytest.approx(single.min(), abs=1e-12)
         assert single.as_vector() == pytest.approx(vector, abs=1e-12)
+
+
+def newton_path(case):
+    """Every output of the Newton core on one pinned input, in a fixed order."""
+    if case.startswith("tree"):
+        rng = np.random.default_rng(int(case[4:]))
+        nf = random_tree(rng)
+        out = []
+        for dg in rng.uniform(0.0, 1.0, size=(5, nf.n_loads)):
+            out += vars(solve_power_flow(nf, dg)).values()
+            out.append(adjoint_gradient(nf, dg, rng.normal(size=len(residual_labels(nf)))))
+        return out
+    # one batch: rows 0-1 converge from flat, rows 2-3 from a warm start, row 4
+    # hits PF_MAX_ITER, rows 5-6 diverge (at steps 12 and 1)
+    rng = np.random.default_rng(17)
+    nf = random_tree(rng)
+    dg = np.vstack([rng.uniform(0.0, 1.0, size=(4, nf.n_loads)),
+                    np.repeat([[-2.0], [-4.0], [-20.0]], nf.n_loads, axis=1)])
+    v, theta = np.ones((7, nf.n_bus)), np.zeros((7, nf.n_bus))
+    warm = _solve_batch(nf, dg[2:4])
+    v[2:4] = warm.v + rng.uniform(-1e-3, 1e-3, size=(2, nf.n_bus)) * (np.arange(nf.n_bus) != nf.slack)
+    theta[2:4] = warm.theta + rng.uniform(-1e-3, 1e-3, size=(2, nf.n_bus)) * (np.arange(nf.n_bus) != nf.slack)
+    res = _solve_batch(nf, dg, start=(v, theta))
+    assert res.converged.tolist() == [True] * 4 + [False] * 3
+    assert res.iterations[4:].tolist() == [50, 12, 1]
+    return [*res, residual_min_batch(nf, res)]
+
+
+# SHA-256 of the float64 bytes of every ``newton_path`` output; any change to the
+# Newton core's or the adjoint's floating-point path moves them
+NEWTON_PINS = {
+    "tree0": "7ac2ea4777164bd58b92f56c1b1e0234fa8e4c2aa6ac732afc82dd72ee94b6eb",
+    "tree1": "c3497031b46875ead1d49f4f1cf4c9fdf73eee21fcb5d49235536f529f6062f3",
+    "tree2": "e995b8e46c8181efe88b0ff6ad0e0a408d02935dfbb35d833301b1b9980b86db",
+    "tree3": "3315509190b3fe85c650d1bf52bb8b4de3c589b8c30b1b31b606a7ec48b76a6d",
+    "tree4": "9425055aa1a1c3399ba96c34fb4a255de6160082c4e9186c0f76875b0f8f6c80",
+    "tree5": "85ab9c34c117030ae2a763365ae21d444e6b503ddcf19cae303288073495f051",
+    "tree6": "1545d1bf6b70fc5a6e8c316c083ff9778fd11875ae396c745d8cdb004a6dad3b",
+    "tree7": "57e444e10bc681bace47f109cc66050fb4a689cbc0fc29fc3c0313ba8a6b3d26",
+    "tree8": "b78a1249e92ab2e01c20383a32dbc31b405955954fcc32e05ef05a505ab6cabb",
+    "tree9": "62be69577272185a5f38884a301b7f40eb7e037515c10b8a0340159131e139dc",
+    "batch": "17beffdea010a498b1b75a6d04e090f117eab5c0f68f574bac8081a34262a0d6",
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_PINS))
+def test_newton_path_pinned(case):
+    digest = hashlib.sha256()
+    for a in newton_path(case):
+        digest.update(np.asarray(a, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == NEWTON_PINS[case]
 
 
 class TestAdjointGradient:
