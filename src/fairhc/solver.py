@@ -366,16 +366,15 @@ def _slab_start(history: list[tuple], shape: tuple[int, int]):
     last.  A point extrapolates linearly where both earlier points converged,
     repeats the last state where only it did, and starts flat otherwise.
     """
-    v, theta = np.ones(shape), np.zeros(shape)
-    warm = np.zeros(shape[0], dtype=bool)
-    if history:
-        warm, v1, t1 = history[-1]
-        v[warm], theta[warm] = v1[warm], t1[warm]
-        if len(history) == 2:
-            c2, v2, t2 = history[-2]
-            both = warm & c2
-            v[both] = 2.0 * v1[both] - v2[both]
-            theta[both] = 2.0 * t1[both] - t2[both]
+    if not history:
+        return np.ones(shape), np.zeros(shape), np.zeros(shape[0], dtype=bool)
+    warm, v1, t1 = history[-1]
+    v, theta = np.where(warm[:, None], v1, 1.0), np.where(warm[:, None], t1, 0.0)
+    if len(history) == 2:
+        c2, v2, t2 = history[-2]
+        both = (warm & c2)[:, None]
+        with np.errstate(all="ignore"):  # diverged rows hold non-finite states
+            v, theta = np.where(both, 2.0 * v1 - v2, v), np.where(both, 2.0 * t1 - t2, theta)
     return v, theta, warm
 
 

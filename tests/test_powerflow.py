@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairhc import powerflow
 from fairhc.errors import NonConvergence
-from fairhc.netmodel import NormalizedFeeder
+from fairhc.formulation import FairnessPolicy, build_problem
+from fairhc.netmodel import NormalizedFeeder, to_per_unit
 from fairhc.powerflow import (
+    PF_MAX_ITER,
+    TREE_MIN_BATCH,
     ConstraintResiduals,
     PowerFlowState,
     _ends,
@@ -22,6 +26,8 @@ from fairhc.powerflow import (
     residual_min_batch,
     solve_power_flow,
 )
+from fairhc.solver import _grid_points, _sweep, brute_force_oracle_batch
+from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import mk, make_two_bus
 
@@ -277,8 +283,16 @@ def newton_path(case):
             out += vars(solve_power_flow(nf, dg)).values()
             out.append(adjoint_gradient(nf, dg, rng.normal(size=len(residual_labels(nf)))))
         return out
-    # one batch: rows 0-1 converge from flat, rows 2-3 from a warm start, row 4
-    # hits PF_MAX_ITER, rows 5-6 diverge (at steps 12 and 1)
+    nf, dg, start = batch_mix()
+    res = _solve_batch(nf, dg, start=start)
+    assert res.converged.tolist() == [True] * 4 + [False] * 3
+    assert res.iterations[4:].tolist() == [50, 12, 1]
+    return [*res, residual_min_batch(nf, res)]
+
+
+def batch_mix():
+    """One batch ``(nf, dg, start)``: rows 0-1 converge from flat, rows 2-3 from
+    a warm start, row 4 hits PF_MAX_ITER, rows 5-6 diverge (at steps 12 and 1)."""
     rng = np.random.default_rng(17)
     nf = random_tree(rng)
     dg = np.vstack([rng.uniform(0.0, 1.0, size=(4, nf.n_loads)),
@@ -287,10 +301,7 @@ def newton_path(case):
     warm = _solve_batch(nf, dg[2:4])
     v[2:4] = warm.v + rng.uniform(-1e-3, 1e-3, size=(2, nf.n_bus)) * (np.arange(nf.n_bus) != nf.slack)
     theta[2:4] = warm.theta + rng.uniform(-1e-3, 1e-3, size=(2, nf.n_bus)) * (np.arange(nf.n_bus) != nf.slack)
-    res = _solve_batch(nf, dg, start=(v, theta))
-    assert res.converged.tolist() == [True] * 4 + [False] * 3
-    assert res.iterations[4:].tolist() == [50, 12, 1]
-    return [*res, residual_min_batch(nf, res)]
+    return nf, dg, (v, theta)
 
 
 # SHA-256 of the float64 bytes of every ``newton_path`` output; any change to the
@@ -316,6 +327,96 @@ def test_newton_path_pinned(case):
     for a in newton_path(case):
         digest.update(np.asarray(a, dtype=np.float64).tobytes())
     assert digest.hexdigest() == NEWTON_PINS[case]
+
+
+# ---------------------------------------------------------------------------
+# Tree elimination: a step with TREE_MIN_BATCH or more live points takes it.
+# Each row repeated TREE_MIN_BATCH times keeps every step of the repeated batch
+# on the tree path, while the rows alone stay on the dense path.
+# ---------------------------------------------------------------------------
+
+def assert_tree_matches_dense(nf, dg, start=None):
+    """Flags and step counts equal on every row; floats within 1e-10 on every row
+    that stopped before PF_MAX_ITER.  A point that wanders PF_MAX_ITER steps
+    without a solution grows the two paths' rounding difference about 3.5x per
+    step (1e-13 at step 10, 0.1 at step 50 on ``batch_mix``'s row 4), so its
+    final state is compared by its flags alone."""
+    k = TREE_MIN_BATCH
+    dense = _solve_batch(nf, dg, start=start)
+    tree = _solve_batch(nf, np.repeat(dg, k, axis=0),
+                        start=None if start is None else tuple(np.repeat(a, k, axis=0) for a in start))
+    stopped = dense.iterations < PF_MAX_ITER
+    for name, want, got in zip(dense._fields, dense, tree):
+        got = got.reshape(len(want), k, *want.shape[1:])
+        if want.dtype == float:
+            np.testing.assert_allclose(got[stopped], np.repeat(want[stopped, None], k, axis=1),
+                                       rtol=0, atol=1e-10, equal_nan=True, err_msg=name)
+        else:
+            assert (got == want[:, None]).all(), name
+    return dense
+
+
+def synth_feeder(layout, n_loads, **spec):
+    return to_per_unit(generate_feeder(SynthSpec(n_loads, layout, 200.0,
+                                                 conductor=Conductor(i_rated_a=500.0), **spec)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tree_elimination_matches_dense_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    assert assert_tree_matches_dense(nf, rng.uniform(0.0, 3.0, size=(3, nf.n_loads))).converged.any()
+
+
+@pytest.mark.parametrize("layout, n_loads", [("linear", 5), ("branched", 3), ("branched", 15)])
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_elimination_matches_dense_on_synth_feeders(layout, n_loads, seed):
+    nf = synth_feeder(layout, n_loads)
+    dg = np.random.default_rng(seed).uniform(0.0, 40.0, size=(2, n_loads)) / nf.s_base
+    assert assert_tree_matches_dense(nf, dg).converged.all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_elimination_matches_dense_on_the_pinned_mix(seed):
+    # converge from flat and warm, PF_MAX_ITER and divergence, rows in a seeded order
+    nf, dg, (v, theta) = batch_mix()
+    order = np.random.default_rng(seed).permutation(len(dg))
+    res = assert_tree_matches_dense(nf, dg[order], start=(v[order], theta[order]))
+    assert res.iterations[np.argsort(order)][4:].tolist() == [50, 12, 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_singular_point_leaves_with_its_state(seed):
+    # the x-only link of test_singular_point_leaves_with_its_state, among converging points
+    rng = np.random.default_rng(seed)
+    nf = mk(2, 0, [(0, 1, 0.0, 0.1)], [1])
+    B = TREE_MIN_BATCH + int(rng.integers(0, 50))
+    v = np.where(rng.random((B, 1)) < 0.5, [1.0, 0.5], [1.0, 1.0])
+    res = _solve_batch(nf, rng.uniform(0.1, 0.5, size=(B, 1)), start=(v, np.zeros((B, 2))))
+    sing = v[:, 1] == 0.5
+    assert sing.any() and (res.singular == sing).all() and (res.converged == ~sing).all()
+    assert (res.iterations[sing] == 0).all()
+    assert (res.v[sing] == [1.0, 0.5]).all() and (res.theta[sing] == 0.0).all()
+
+
+def test_only_large_batches_reach_the_tree_elimination(monkeypatch):
+    sizes = []
+    real = powerflow._tree_solve
+
+    def spy(plan, d, F):
+        sizes.append(len(F))
+        return real(plan, d, F)
+
+    monkeypatch.setattr(powerflow, "_tree_solve", spy)
+    nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder, 7 buses
+    solve_power_flow(nf, np.full(3, 0.2))
+    problems = [build_problem(nf, FairnessPolicy.utilitarian()),
+                build_problem(nf, FairnessPolicy.bargaining(0.5))]
+    brute_force_oracle_batch(problems, grid_steps=5)  # 25-point slabs
+    assert sizes == []
+    pts = _grid_points(problems[0], 101)[:2 * 101**2]  # the first two 101-step slabs
+    _sweep(nf, [problems[0].objective], pts, 2)
+    assert max(sizes) == 101**2
 
 
 class TestAdjointGradient:
