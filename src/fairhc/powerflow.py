@@ -4,15 +4,17 @@ residuals and adjoint sensitivities of those residuals w.r.t. DG injections.
 Each feeder compiles once into a :class:`FeederPlan` (cached as ``nf.plan``):
 every line appears as two oriented flows, one measured at each end, and the
 plan's index arrays scatter those flows into the nodal sums and the Jacobian.
-A Newton step evaluates cos/sin of the flows' angle differences once; the
-mismatch and the flow partials both read them, and the Jacobian is built by
-scattering its structural nonzeros into zeros.  The adjoint shares the partials
-and the Jacobian builder.  The Newton core is batched: a stack of injection
-vectors is solved simultaneously, and points drop out of the stack as they
-finish.  A step with at least ``TREE_MIN_BATCH`` live points solves by block
-elimination in the plan's leaf-first tree order, reading the blocks straight
-from the flow partials; a smaller one builds the dense Jacobians and solves
-them with LAPACK.  The public single-shot API wraps batch size 1.
+A Newton step takes cos/sin once per line; the mismatch and the flow partials
+both read the terms built from them, and the Jacobian is built by scattering
+its structural nonzeros into zeros.  The adjoint shares the partials and the
+Jacobian builder.  The Newton core is batched, bus before batch: B injection
+vectors are solved together as states (n, B), flows (2, 2L, B) and partials
+(2, 2, 2, 2L, B), so gathers select rows and the nodal sums are
+``plan.inc.T @ flows``.  Points drop out of the batch as they finish.  A step
+with at least ``TREE_MIN_BATCH`` live points solves by block elimination in the
+plan's leaf-first tree order, reading the blocks straight from the flow
+partials; a smaller one builds the dense Jacobians and solves them with
+LAPACK.  The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
@@ -33,7 +35,7 @@ PF_MAX_ITER = 50
 _V_FLOOR = 1e-6  # below this a point is declared diverged
 # Live points from which a Newton step solves by tree elimination instead of a
 # dense batched solve.  Measured crossover on a 2-core Xeon with one BLAS thread:
-# 130-190 points at 7 buses, 100-150 at 11 and 32-64 at 31.
+# 190-250 points at 7 buses, 130-250 at 11 and 32-64 at 31.
 TREE_MIN_BATCH = 192
 
 
@@ -109,9 +111,8 @@ class FeederPlan(NamedTuple):
     at: np.ndarray  # (2L,) bus where each oriented flow is measured
     other: np.ndarray  # (2L,) bus at the far end
     rev: np.ndarray  # (2L,) the same line measured at the other end, (k + L) % 2L
-    g: np.ndarray  # (2, 1, 2L) the conductance in P's row, -b in Q's
-    b: np.ndarray  # (2, 1, 2L) the susceptance in P's row, g in Q's
-    inc: np.ndarray  # (2L, n) 0/1; ``flows @ inc`` sums the flows into their measuring bus
+    g: np.ndarray  # (2, 2L, 1) the conductance in P's row, -b in Q's
+    inc: np.ndarray  # (2L, n) 0/1; ``inc.T @ flows`` sums the flows into their measuring bus
     inc_ns: np.ndarray  # (2L, m) the non-slack columns of ``inc``
     off: np.ndarray  # (K,) oriented flows with both ends non-slack
     jac_pos: np.ndarray  # (2, 2, m + K) flat Jacobian position of each value :func:`_jacobian` scatters
@@ -165,35 +166,44 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     key = height[kids] * n + rank[kids]
     groups = (kids[key == k] for k in sorted(set(key.tolist())))
     elim = tuple((c, parent[c], up[c], rev[up[c]]) for c in groups)
-    g, b = np.tile(nf.g, 2), np.tile(nf.b, 2)
-    return FeederPlan(ns, pos, at, other, rev, np.array([[g], [-b]]), np.array([[b], [g]]),
-                      inc, inc[:, ns], off, jac_pos, elim)
+    g = np.tile([nf.g, -nf.b], 2)[..., None]
+    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, elim)
 
 
 def _ends(plan: FeederPlan, v, theta):
-    """(Vm, Vn, cos t, sin t) of every oriented flow: the one trig evaluation
-    that the flows and their partials share."""
-    t = theta[..., plan.at] - theta[..., plan.other]
-    return v[..., plan.at], v[..., plan.other], np.cos(t), np.sin(t)
+    """(Vm, Vn, U) of every oriented flow from states (n, B), with U = g cos t + b sin t
+    (2, 2L, B) in P's row and Q's, which the flows and their partials share.  Flow
+    ``L + k`` has angle ``-t_k``: as cos is even and sin odd, the forward cos/sin
+    give each reverse term bit-identical to its own evaluation."""
+    L = len(plan.at) // 2
+    t = theta[plan.at[:L]] - theta[plan.other[:L]]
+    c, s = np.cos(t), np.sin(t)
+    g, nb = plan.g[:, :L]  # g and -b of each line
+    gc, nbs, gs, nbc = g * c, nb * s, g * s, nb * c
+    u = np.empty((2, 2 * L, *t.shape[1:]))
+    np.subtract(gc, nbs, out=u[0, :L])
+    np.add(gc, nbs, out=u[0, L:])
+    np.add(gs, nbc, out=u[1, :L])
+    np.subtract(nbc, gs, out=u[1, L:])
+    return v[plan.at], v[plan.other], u
 
 
 def _flows(plan: FeederPlan, ends):
-    """(2, ..., 2L): P and Q of every oriented flow."""
-    vm, vn, c, s = ends
-    g, b = plan.g, plan.b
-    return g * vm**2 - vm * vn * (g * c + b * s)
+    """(2, 2L, B): P and Q of every oriented flow."""
+    vm, vn, u = ends
+    return plan.g * vm**2 - vm * vn * u
 
 
 def _flow_partials(plan: FeederPlan, ends):
-    """(2, 2, 2, ..., 2L): partials of every oriented flow w.r.t. its measuring
+    """(2, 2, 2, 2L, B): partials of every oriented flow w.r.t. its measuring
     end (index 0) and its far end (index 1), then w.r.t. theta and V, then of P and Q."""
-    vm, vn, c, s = ends
-    g, b = plan.g, plan.b
-    u = g * c + b * s
+    vm, vn, u = ends
     d = np.empty((2, 2, *u.shape))
-    np.multiply(vm * vn, g * s - b * c, out=d[0, 0])
+    vv = vm * vn  # times g sin t - b cos t, which is U[1] in P's row and -U[0] in Q's
+    np.multiply(vv, u[1], out=d[0, 0, 0])
+    np.multiply(-vv, u[0], out=d[0, 0, 1])
     np.negative(d[0, 0], out=d[1, 0])
-    np.subtract(2.0 * g * vm, vn * u, out=d[0, 1])
+    np.subtract(2.0 * plan.g * vm, vn * u, out=d[0, 1])
     np.multiply(-vm, u, out=d[1, 1])
     return d
 
@@ -203,8 +213,8 @@ def _jacobian(plan: FeederPlan, d, J):
     partials of B states, written into ``J``, which must be zero off its structural nonzeros."""
     m = len(plan.ns)
     flat = J.reshape(len(J), -1)
-    flat[:, plan.jac_pos[..., :m]] = (d[0] @ plan.inc_ns).transpose(2, 0, 1, 3)  # measuring ends, summed per bus
-    flat[:, plan.jac_pos[..., m:]] = d[1][..., plan.off].transpose(2, 0, 1, 3)  # far ends, one per entry
+    flat[:, plan.jac_pos[..., :m]] = (plan.inc_ns.T @ d[0]).transpose(3, 0, 1, 2)  # measuring ends, summed per bus
+    flat[:, plan.jac_pos[..., m:]] = d[1][..., plan.off, :].transpose(3, 0, 1, 2)  # far ends, one per entry
     return J
 
 
@@ -215,7 +225,7 @@ def _mm(a, b):
 
 
 def _tree_solve(plan: FeederPlan, d, F):
-    """Newton steps ``dx`` solving ``J dx = -F`` for B states, and which points are singular.
+    """Newton steps ``dx`` (2m, B) solving ``J dx = -F`` for B states, and which points are singular.
 
     Eliminates the 2x2 bus blocks of the tree-structured Jacobian leaf first,
     which creates no fill-in, then substitutes back root first.  Blocks are
@@ -223,11 +233,11 @@ def _tree_solve(plan: FeederPlan, d, F):
     (k, B) array and a bus's rows are contiguous.  A point with an exactly
     singular pivot block gets ``dx = 0``.
     """
-    B, n, m = len(F), len(plan.pos), len(plan.ns)
-    d = np.ascontiguousarray(d.swapaxes(-1, -2)).swapaxes(1, 2)  # (end, P/Q row, theta/V column, 2L, B)
+    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
+    d = d.swapaxes(1, 2)  # (end, P/Q row, theta/V column, 2L, B)
     D = plan.inc.T @ d[0]  # diagonal blocks; the slack's absorbs its children's updates unread
     r = np.zeros((2, 1, n, B))
-    r[:, 0, plan.ns] = -F.T.reshape(2, m, B)
+    r[:, 0, plan.ns] = -F.reshape(2, m, B)
     singular = np.zeros(B, dtype=bool)
     factors = []
     for child, parent, up, down in plan.elim:
@@ -243,14 +253,14 @@ def _tree_solve(plan: FeederPlan, d, F):
     x = np.zeros((2, 1, n, B))  # the slack's entry stays zero
     for (child, parent, _, _), (x_up, x_r) in zip(plan.elim[::-1], factors[::-1]):
         x[:, :, child] = x_r - _mm(x_up, x[:, :, parent])
-    dx = x[:, 0, plan.ns].reshape(2 * m, B).T
-    dx[singular] = 0.0
+    dx = x[:, 0, plan.ns].reshape(2 * m, B)
+    dx[:, singular] = 0.0
     return dx, singular
 
 
 class _BatchResult(NamedTuple):
-    """Raw arrays from a batched Newton solve (shapes lead with batch size);
-    the first ten fields are those of :class:`PowerFlowState`."""
+    """Raw arrays from a batched Newton solve, shapes leading with batch size (states and flows
+    are views of bus-first arrays); the first ten fields are those of :class:`PowerFlowState`."""
 
     v: np.ndarray
     theta: np.ndarray
@@ -277,16 +287,16 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     plan = nf.plan
     ns = plan.ns
     B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
-    p_inj, q_inj = np.zeros((2, B, n))
-    p_inj[:, nf.load_bus] = dg - nf.p_demand
-    q_inj[:, nf.load_bus] -= nf.q_demand
-    inj = np.concatenate([p_inj[:, ns], q_inj[:, ns]], axis=1)
+    inj = np.zeros((2, n, B))
+    inj[0, nf.load_bus] = (dg - nf.p_demand).T
+    inj[1, nf.load_bus] -= nf.q_demand[:, None]
 
     if start is None:
-        v, theta = np.ones((B, n)), np.zeros((B, n))
+        va, ta = np.ones((n, B)), np.zeros((n, B))
     else:
-        v, theta = (np.array(a, dtype=float) for a in start)
-    pq = np.empty((2, B, 2 * L))
+        va, ta = (np.array(np.transpose(a), dtype=float, order="C") for a in start)
+    v, theta = np.empty((2, n, B))
+    pq = np.empty((2, 2 * L, B))
     J_buf = None  # the dense path's, made at its first step and reused: the structural zeros stay zero
     converged, singular = np.zeros((2, B), dtype=bool)
     iterations = np.zeros(B, dtype=int)
@@ -295,27 +305,26 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     # The undecided points, compacted whenever one leaves: when it converges,
     # diverges or hits PF_MAX_ITER, and one step after its Jacobian turned out
     # singular (its state unchanged).  A point's results are written as it leaves.
-    idx, va, ta, inj_a, last, sing = np.arange(B), v, theta, inj, mismatch.copy(), singular.copy()
+    idx, inj_a, last, sing = np.arange(B), inj[:, ns].reshape(2 * m, B), mismatch.copy(), singular.copy()
     with np.errstate(all="ignore"):
         for it in range(PF_MAX_ITER + 1):
             ends = _ends(plan, va, ta)
             flows = _flows(plan, ends)
-            p_calc, q_calc = flows @ plan.inc
-            F = np.concatenate([p_calc[:, ns], q_calc[:, ns]], axis=1) - inj_a
+            F = (plan.inc.T @ flows)[:, ns].reshape(2 * m, -1) - inj_a
             # NaN or inf where F is not finite
-            mis = np.abs(F).max(axis=1) if m > 0 else np.zeros(len(idx))
+            mis = np.abs(F).max(axis=0) if m > 0 else np.zeros(len(idx))
             finite = np.isfinite(mis)
-            bad = ~finite | (va[:, ns].min(axis=1) < _V_FLOOR)
+            bad = ~finite | (va[ns].min(axis=0) < _V_FLOOR)
             last = np.where(finite, mis, last)
             conv = ~bad & (mis < tol)
             leave = conv | bad | sing | (it == PF_MAX_ITER)
             if leave.any():
                 out, keep = idx[leave], ~leave
-                v[out], theta[out], pq[:, out] = va[leave], ta[leave], flows[:, leave]
+                v[:, out], theta[:, out], pq[..., out] = va[:, leave], ta[:, leave], flows[..., leave]
                 iterations[out] = it - sing[leave]
                 mismatch[out], converged[out], singular[out] = last[leave], conv[leave], sing[leave]
-                idx, va, ta, inj_a, last, sing, F = (a[keep] for a in (idx, va, ta, inj_a, last, sing, F))
-                ends = tuple(a[keep] for a in ends)
+                idx, va, ta, inj_a, last, sing, F = (a[..., keep] for a in (idx, va, ta, inj_a, last, sing, F))
+                ends = tuple(a[..., keep] for a in ends)
             if len(idx) == 0:
                 break
             d = _flow_partials(plan, ends)
@@ -326,21 +335,21 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                     J_buf = np.zeros((len(idx), 2 * m, 2 * m))
                 J = _jacobian(plan, d, J_buf[:len(idx)])
                 try:
-                    dx = np.linalg.solve(J, -F[..., None])[..., 0]
+                    dx = np.linalg.solve(J, -F.T[..., None])[..., 0].T
                 except np.linalg.LinAlgError:
                     dx = np.zeros_like(F)
                     for i in range(len(idx)):
                         try:
-                            dx[i] = np.linalg.solve(J[i], -F[i])
+                            dx[:, i] = np.linalg.solve(J[i], -F[:, i])
                         except np.linalg.LinAlgError:
                             sing[i] = True
-            ta[:, ns] += dx[:, :m]
-            va[:, ns] += dx[:, m:]
+            ta[ns] += dx[:m]
+            va[ns] += dx[m:]
 
-        p_slack, q_slack = (pq @ plan.inc)[..., nf.slack]
-    p, q = pq
+        p_slack, q_slack = (plan.inc.T @ pq)[:, nf.slack]
+    p, q = pq.swapaxes(1, 2)
     return _BatchResult(
-        v, theta, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
+        v.T, theta.T, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
         p_slack, q_slack, iterations, mismatch, converged, singular,
     )
 
@@ -395,8 +404,8 @@ def constraint_residuals(state: PowerFlowState, nf: NormalizedFeeder) -> Constra
 
 
 def residual_min_batch(nf: NormalizedFeeder, res: _BatchResult) -> np.ndarray:
-    """Per-point minimum residual for a batched solve (used by the grid oracle)."""
-    return np.min([blk.reshape(len(blk), -1).min(axis=1) for blk in _residual_blocks(nf, res)], axis=0)
+    """Per-point minimum residual for a batched solve (used by the grid oracle), residual by residual."""
+    return np.minimum.reduce([col for blk in _residual_blocks(nf, res) for col in blk.reshape(len(blk), -1).T])
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +438,10 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     at_slack = plan.at == nf.slack
     c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
     c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
-    d = _flow_partials(plan, _ends(plan, state.v[None], state.theta[None]))
+    d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
     m2 = 2 * len(plan.ns)
     J = _jacobian(plan, d, np.zeros((1, m2, m2)))[0]
-    d = c_p * d[:, :, 0, 0] + c_q * d[:, :, 1, 0]  # (measuring end, far end) x (theta, v)
+    d = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
     # the far end of flow k is the measuring end of its reverse
     per_flow = d[0] + d[1][:, plan.rev]
     per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to

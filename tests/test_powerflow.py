@@ -26,7 +26,7 @@ from fairhc.powerflow import (
     residual_min_batch,
     solve_power_flow,
 )
-from fairhc.solver import _grid_points, _sweep, brute_force_oracle_batch
+from fairhc.solver import _grid_points, _slab_start, _sweep, brute_force_oracle_batch
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import mk, make_two_bus
@@ -220,9 +220,28 @@ def test_jacobian_matches_line_loop(seed):
     v = rng.uniform(0.9, 1.1, size=(3, nf.n_bus))
     theta = rng.uniform(-0.1, 0.1, size=(3, nf.n_bus))
     m2 = 2 * len(nf.plan.ns)
-    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v, theta)), np.zeros((3, m2, m2)))
+    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v.T, theta.T)), np.zeros((3, m2, m2)))
     for i in range(3):
         assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reverse_flow_terms_match_their_own_trig(seed):
+    """``_ends`` takes cos/sin of the forward angles only and builds each reverse
+    flow's ``g cos t + b sin t`` from them; it must equal a direct evaluation at
+    the reverse flow's own angle bit for bit, at +-0, tiny angles and near +-pi."""
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    plan = nf.plan
+    pi = np.pi
+    special = [0.0, -0.0, 5e-324, -1e-300, 1e-17, -2e-9, pi, -pi, np.nextafter(pi, 0.0),
+               np.nextafter(-pi, 0.0), pi / 2, 3.0, -3.1]
+    theta = rng.choice(special + rng.uniform(-pi, pi, size=8).tolist(), size=(nf.n_bus, 64))
+    _, _, u = _ends(plan, np.ones_like(theta), theta)
+    t = theta[plan.at] - theta[plan.other]
+    g, b = np.tile(nf.g, 2)[:, None], np.tile(nf.b, 2)[:, None]
+    direct = np.array([g * np.cos(t) + b * np.sin(t), -b * np.cos(t) + g * np.sin(t)])
+    assert u.tobytes() == direct.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -284,10 +303,30 @@ def newton_path(case):
             out.append(adjoint_gradient(nf, dg, rng.normal(size=len(residual_labels(nf)))))
         return out
     nf, dg, start = batch_mix()
+    if case == "large":
+        return large_batch_path(nf, dg, start)
     res = _solve_batch(nf, dg, start=start)
     assert res.converged.tolist() == [True] * 4 + [False] * 3
     assert res.iterations[4:].tolist() == [50, 12, 1]
     return [*res, residual_min_batch(nf, res)]
+
+
+def large_batch_path(nf, dg, start):
+    """Batches whose steps reach the tree elimination: ``batch_mix`` with each row
+    repeated TREE_MIN_BATCH times, then the first two 101-step slabs of the
+    oracle_grid feeder, the first from a flat start and the second warm from it."""
+    k = TREE_MIN_BATCH
+    res = _solve_batch(nf, np.repeat(dg, k, axis=0), start=tuple(np.repeat(a, k, axis=0) for a in start))
+    out = [*res, residual_min_batch(nf, res)]
+    nf = synth_feeder("branched", 3, dg_cap_kw=60.0)
+    slabs = _grid_points(build_problem(nf, FairnessPolicy.utilitarian()), 101).reshape(101, -1, 3)
+    flat = _solve_batch(nf, slabs[0])
+    v, theta, _ = _slab_start([(flat.converged, flat.v, flat.theta)], (len(slabs[1]), nf.n_bus))
+    warm = _solve_batch(nf, slabs[1], start=(v, theta))
+    assert flat.converged.any() and warm.converged.any() and warm.iterations.mean() < flat.iterations.mean()
+    for res in (flat, warm):
+        out += [*res, residual_min_batch(nf, res)]
+    return out
 
 
 def batch_mix():
@@ -318,6 +357,7 @@ NEWTON_PINS = {
     "tree8": "b78a1249e92ab2e01c20383a32dbc31b405955954fcc32e05ef05a505ab6cabb",
     "tree9": "62be69577272185a5f38884a301b7f40eb7e037515c10b8a0340159131e139dc",
     "batch": "17beffdea010a498b1b75a6d04e090f117eab5c0f68f574bac8081a34262a0d6",
+    "large": "fe06c567b9596046a1922ec3d49a91aedf51955619883e62b18ec8a1c23dd6e8",
 }
 
 
@@ -404,7 +444,7 @@ def test_only_large_batches_reach_the_tree_elimination(monkeypatch):
     real = powerflow._tree_solve
 
     def spy(plan, d, F):
-        sizes.append(len(F))
+        sizes.append(F.shape[-1])
         return real(plan, d, F)
 
     monkeypatch.setattr(powerflow, "_tree_solve", spy)
@@ -417,6 +457,32 @@ def test_only_large_batches_reach_the_tree_elimination(monkeypatch):
     pts = _grid_points(problems[0], 101)[:2 * 101**2]  # the first two 101-step slabs
     _sweep(nf, [problems[0].objective], pts, 2)
     assert max(sizes) == 101**2
+
+
+def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
+    # the partials reach the tree step as _flow_partials made them, bus before
+    # batch, so the elimination reads its blocks without a layout copy
+    made, seen = [], []
+    real_partials, real_tree = powerflow._flow_partials, powerflow._tree_solve
+
+    def partials(plan, ends):
+        made.append(real_partials(plan, ends))
+        return made[-1]
+
+    def tree(plan, d, F):
+        seen.append((d.shape, F.shape, d.flags.c_contiguous, np.shares_memory(d, made[-1])))
+        return real_tree(plan, d, F)
+
+    monkeypatch.setattr(powerflow, "_flow_partials", partials)
+    monkeypatch.setattr(powerflow, "_tree_solve", tree)
+    nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder
+    m, L = len(nf.plan.ns), nf.n_line
+    _solve_batch(nf, _grid_points(build_problem(nf, FairnessPolicy.utilitarian()), 101)[:101**2])
+    assert seen and seen[0][0][-1] == 101**2
+    for d_shape, F_shape, contiguous, shared in seen:
+        B = F_shape[-1]
+        assert B >= TREE_MIN_BATCH and F_shape == (2 * m, B) and d_shape == (2, 2, 2, 2 * L, B)
+        assert contiguous and shared
 
 
 class TestAdjointGradient:
