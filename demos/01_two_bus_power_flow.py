@@ -31,7 +31,7 @@ def two_bus(v_max=1.05):
         dtheta_min=np.full(2, -math.radians(10)), dtheta_max=np.full(2, math.radians(10)),
         load_bus=np.array([1]), p_demand=np.zeros(1), q_demand=np.zeros(1),
         slack_p_max=100.0, slack_q_max=100.0,
-        dg_cap=2.0, s_base=1.0, v_base=230.0,
+        dg_cap=2.0, s_base=1.0,
     )
 
 

@@ -24,10 +24,10 @@ from .errors import FairHCError, Infeasible, NonConvergence, ParseError, Singula
 from .formulation import build_problem, parse_policy, policy_string
 from .kpi import gini
 from .netmodel import feeder_stats, parse_feeder, serialize_feeder, to_per_unit
-from .pareto import frontier_to_csv, knee_point, points_from_csv, sweep
+from .pareto import FAMILIES, frontier_to_csv, knee_point, points_from_csv, sweep
 from .powerflow import constraint_residuals, solve_power_flow
 from .solver import GRID_STEPS, brute_force_oracle, solve_hc, solve_references
-from .synth import Conductor, SynthSpec, generate_feeder, topology_experiment
+from .synth import LAYOUTS, Conductor, SynthSpec, generate_feeder, topology_experiment
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -206,13 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-steps", type=int, default=None,
                    help="oracle grid points per load (needs --oracle)")
     p = command("pareto", _cmd_pareto, "fairness-parameter sweep to frontier CSV", "feeder")
-    p.add_argument("--family", required=True,
-                   choices=("bounded_lower", "bounded_upper", "bargaining"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--jobs", type=int, default=1)
     command("knee", _cmd_knee, "knee point of a frontier CSV", "frontier")
     synth = command("synth", _cmd_synth, "generate a synthetic feeder JSON")
-    synth.add_argument("--layout", choices=("linear", "branched"), default="linear")
+    synth.add_argument("--layout", choices=LAYOUTS, default="linear")
     experiment = command("experiment", _cmd_experiment,
                          "matched linear-vs-branched topology comparison")
     for p in (synth, experiment):

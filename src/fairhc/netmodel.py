@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,25 +127,12 @@ class Feeder:
             for end in (ln.from_bus, ln.to_bus):
                 if end not in by_id:
                     raise ValidationError(f"line references unknown bus {end!r}")
-        # radiality: |lines| = |buses| - 1 and connected (union-find)
+        # radiality: |lines| = |buses| - 1, so a walk from the slack that misses
+        # a bus has met a cycle
         if len(self.lines) != len(self.buses) - 1:
             raise ValidationError("not radial: |lines| != |buses| - 1")
-        parent = {b.id: b.id for b in self.buses}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for ln in self.lines:
-            ru, rv = find(ln.from_bus), find(ln.to_bus)
-            if ru == rv:
-                raise ValidationError("not radial: line graph contains a cycle")
-            parent[ru] = rv
-        roots = {find(b.id) for b in self.buses}
-        if len(roots) != 1:
-            raise ValidationError("feeder is disconnected")
+        if len(self.walk) != len(self.buses):
+            raise ValidationError("not radial: line graph contains a cycle")
         # loads: bijection with load-kind buses
         load_buses = {b.id for b in self.buses if b.kind == "load"}
         seen = set()
@@ -165,6 +151,23 @@ class Feeder:
     @property
     def slack_id(self) -> str:
         return next(b.id for b in self.buses if b.kind == "slack")
+
+    @cached_property
+    def walk(self) -> list[tuple[str, str | None, Line | None]]:
+        """Breadth-first walk of the lines from the slack: each bus it reaches, with
+        its parent and the line between them (None at the slack), in walk order."""
+        adj: dict[str, list[tuple[str, Line]]] = {b.id: [] for b in self.buses}
+        for ln in self.lines:
+            adj[ln.from_bus].append((ln.to_bus, ln))
+            adj[ln.to_bus].append((ln.from_bus, ln))
+        walk = [(self.slack_id, None, None)]
+        seen = {self.slack_id}
+        for bus, _, _ in walk:
+            for nxt, ln in adj[bus]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    walk.append((nxt, bus, ln))
+        return walk
 
     def bus(self, bus_id: str) -> Bus:
         for b in self.buses:
@@ -212,7 +215,6 @@ class NormalizedFeeder:
     slack_q_max: float  # pu
     dg_cap: float  # pu, per-load ceiling
     s_base: float  # kVA
-    v_base: float  # volt
 
     @property
     def n_bus(self) -> int:
@@ -276,7 +278,6 @@ def to_per_unit(feeder: Feeder) -> NormalizedFeeder:
         slack_q_max=feeder.connection.q_max / feeder.s_base,
         dg_cap=feeder.dg_cap / feeder.s_base,
         s_base=feeder.s_base,
-        v_base=feeder.v_base,
     )
 
 
@@ -397,19 +398,9 @@ def feeder_stats(feeder: Feeder) -> FeederStats:
 
 def electrical_distance(feeder: Feeder, bus: str) -> float:
     """Sum of |z| in ohms along the unique slack-to-bus path."""
-    ids = {b.id for b in feeder.buses}
-    if bus not in ids:
+    dist = {}
+    for b, parent, ln in feeder.walk:
+        dist[b] = 0.0 if ln is None else dist[parent] + ln.impedance_abs
+    if bus not in dist:
         raise UnknownBus(bus)
-    adj: dict[str, list[tuple[str, float]]] = {b.id: [] for b in feeder.buses}
-    for ln in feeder.lines:
-        adj[ln.from_bus].append((ln.to_bus, ln.impedance_abs))
-        adj[ln.to_bus].append((ln.from_bus, ln.impedance_abs))
-    dist = {feeder.slack_id: 0.0}
-    queue = deque([feeder.slack_id])
-    while queue:
-        u = queue.popleft()
-        for v, z in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + z
-                queue.append(v)
     return dist[bus]

@@ -18,9 +18,15 @@ from .errors import DegenerateFrontier, FairHCError
 from .formulation import FairnessPolicy, References, build_problem
 from .kpi import gini, price_of_fairness
 from .netmodel import Feeder, NormalizedFeeder, to_per_unit
-from .solver import solve_hc, solve_references
+from .solver import HCSolution, solve_hc, solve_references
 
-FAMILIES = ("bounded_lower", "bounded_upper", "bargaining")
+# the policy each sweep family solves at parameter t
+_POLICIES = {
+    "bounded_lower": lambda t: FairnessPolicy.bounded(alpha=t, beta=1.0),
+    "bounded_upper": lambda t: FairnessPolicy.bounded(alpha=0.0, beta=t),
+    "bargaining": lambda t: FairnessPolicy.bargaining(k=t),
+}
+FAMILIES = tuple(_POLICIES)
 
 CSV_HEADER = "family,param,hc_kw,pof,gini,status"
 
@@ -40,28 +46,22 @@ class Frontier:
     points: list[ParetoPoint]  # sorted by gini ascending, failures last
 
 
-def _policy_for(family: str, param: float) -> FairnessPolicy:
-    if family == "bounded_lower":
-        return FairnessPolicy.bounded(alpha=param, beta=1.0)
-    if family == "bounded_upper":
-        return FairnessPolicy.bounded(alpha=0.0, beta=param)
-    if family == "bargaining":
-        return FairnessPolicy.bargaining(k=param)
-    raise ValueError(f"unknown sweep family {family!r}")
-
-
-def _solve_point(nf: NormalizedFeeder, family: str, param: float, refs: References,
-                 hc_uti: float) -> ParetoPoint:
-    policy = _policy_for(family, param)
-    try:
-        sol = solve_hc(build_problem(nf, policy, refs))
-    except FairHCError:
-        return ParetoPoint(family, param, math.nan, math.nan, math.nan, "failed")
+def _point(family: str, param: float, sol: HCSolution, hc_uti: float) -> ParetoPoint:
+    """Frontier row of solution ``sol``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pof = price_of_fairness(hc_uti, sol.hc_total)
         g = gini(sol.allocation)
     return ParetoPoint(family, param, sol.hc_total, pof, g, sol.status)
+
+
+def _solve_point(nf: NormalizedFeeder, family: str, param: float, refs: References,
+                 hc_uti: float) -> ParetoPoint:
+    try:
+        sol = solve_hc(build_problem(nf, _POLICIES[family](param), refs))
+    except FairHCError:
+        return ParetoPoint(family, param, math.nan, math.nan, math.nan, "failed")
+    return _point(family, param, sol, hc_uti)
 
 
 def _sort_points(points: list[ParetoPoint]) -> list[ParetoPoint]:
@@ -82,14 +82,8 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs:
         raise ValueError(f"unknown sweep family {family!r}")
     nf = to_per_unit(feeder) if isinstance(feeder, Feeder) else feeder
     refs, uti, egal = solve_references(nf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = [
-            ParetoPoint("endpoint_uti", math.nan, uti.hc_total, 0.0,
-                        gini(uti.allocation), uti.status),
-            ParetoPoint("endpoint_egal", math.nan, egal.hc_total,
-                        price_of_fairness(uti.hc_total, egal.hc_total), 0.0, egal.status),
-        ]
+    points = [_point("endpoint_uti", math.nan, uti, uti.hc_total),
+              _point("endpoint_egal", math.nan, egal, uti.hc_total)]
 
     params = np.linspace(0.0, 1.0, steps)
     if jobs > 1:
@@ -142,8 +136,6 @@ def knee_point(frontier: Frontier | list[ParetoPoint]) -> ParetoPoint:
     f_span = f.max() - f.min()
     gn = (g - g.min()) / g_span if g_span > 0 else np.zeros_like(g)
     fn = (f - f.min()) / f_span if f_span > 0 else np.zeros_like(f)
-    if g_span == 0 and f_span == 0:
-        raise DegenerateFrontier("all nondominated points coincide")
     order = np.lexsort((fn, gn))
     a = np.array([gn[order[0]], fn[order[0]]])
     b = np.array([gn[order[-1]], fn[order[-1]]])

@@ -337,12 +337,10 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                 try:
                     dx = np.linalg.solve(J, -F.T[..., None])[..., 0].T
                 except np.linalg.LinAlgError:
+                    # the solve raises where LU meets a zero pivot, which is where the sign is 0
+                    sing = np.linalg.slogdet(J)[0] == 0
                     dx = np.zeros_like(F)
-                    for i in range(len(idx)):
-                        try:
-                            dx[:, i] = np.linalg.solve(J[i], -F[:, i])
-                        except np.linalg.LinAlgError:
-                            sing[i] = True
+                    dx[:, ~sing] = np.linalg.solve(J[~sing], -F.T[~sing, :, None])[..., 0].T
             ta[ns] += dx[:m]
             va[ns] += dx[m:]
 

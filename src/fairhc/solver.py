@@ -1,6 +1,8 @@
 """Hosting-capacity solvers.
 
-Two routes, and an oracle that checks them:
+Two routes, and an oracle that checks them.  ``solve_hc`` sends a tied
+(egalitarian) problem and bargaining at K = 0 to the first and every other box,
+a fixed one included, to the second:
 
 * ``solve_egalitarian_bisection`` -- scalar bisection on the uniform allocation,
   exploiting the monotone voltage bottleneck of radial feeders.
@@ -270,7 +272,7 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
                 options={"maxiter": _MAX_INNER, "ftol": 1e-14, "gtol": 1e-10},
             )
             z = res.x
-            inner_total += int(res.nit)
+            inner_total += int(res.get("nit", 0))  # absent when every bound is fixed
             c = constraints(z)
             if c is None:
                 rho = min(rho * _PENALTY_GROWTH, 1e10)
@@ -321,14 +323,6 @@ def solve_hc(problem: HCProblem) -> HCSolution:
         sol = solve_egalitarian_bisection(nf, policy)
         sol.disparity = 0.0
         return sol
-    if np.all(problem.upper - problem.lower <= 1e-12):
-        # every bound fixed: SciPy's L-BFGS-B then returns no ``nit``, which the
-        # AL reads, so this box keeps its own route
-        p = problem.lower.copy()
-        _, c = _residual_vector(nf, p)
-        if not _feasible(c):
-            raise Infeasible("degenerate box is infeasible")
-        return _make_solution(nf, p, policy, "optimal", c, (1, 0))
     return solve_nlp_al(problem)
 
 

@@ -16,6 +16,10 @@ from .netmodel import Bus, Feeder, GridConnection, Line, Load, to_per_unit
 from .solver import solve_references
 
 LAYOUTS = ("linear", "branched")
+V_BASE_V = 230.0  # also every line's nominal voltage
+S_BASE_KVA = 100.0
+GRID_P_MAX_KW = 1e5
+GRID_Q_MAX_KVAR = 1e5
 
 
 @dataclass(frozen=True)
@@ -38,11 +42,7 @@ class SynthSpec:
     conductor: Conductor = field(default_factory=Conductor)
     load_p_kw: float = 1.0
     load_q_kvar: float = 0.3
-    v_base_v: float = 230.0
-    s_base_kva: float = 100.0
     dg_cap_kw: float = 1000.0
-    grid_p_max_kw: float = 1e5
-    grid_q_max_kvar: float = 1e5
 
     def __post_init__(self):
         if self.n_loads < 1:
@@ -69,7 +69,7 @@ def _line(spec: SynthSpec, frm: str, to: str, length_m: float) -> Line:
         reactance=c.x_ohm_per_km * km,
         length=length_m,
         rated_current=c.i_rated_a,
-        nominal_voltage=spec.v_base_v,
+        nominal_voltage=V_BASE_V,
     )
 
 
@@ -102,9 +102,9 @@ def generate_feeder(spec: SynthSpec) -> Feeder:
         buses=tuple(buses),
         lines=tuple(lines),
         loads=tuple(loads),
-        connection=GridConnection(bus="slack", p_max=spec.grid_p_max_kw, q_max=spec.grid_q_max_kvar),
-        s_base=spec.s_base_kva,
-        v_base=spec.v_base_v,
+        connection=GridConnection(bus="slack", p_max=GRID_P_MAX_KW, q_max=GRID_Q_MAX_KVAR),
+        s_base=S_BASE_KVA,
+        v_base=V_BASE_V,
         dg_cap=spec.dg_cap_kw,
     )
 

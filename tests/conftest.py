@@ -35,7 +35,7 @@ def mk(n, slack, lines, load_buses, v_max=1.05, dg_cap=1.2, s_rated=5.0,
         p_demand=np.full(len(lb), p_demand),
         q_demand=np.full(len(lb), q_demand),
         slack_p_max=slack_p_max, slack_q_max=slack_q_max,
-        dg_cap=dg_cap, s_base=1.0, v_base=230.0,
+        dg_cap=dg_cap, s_base=1.0,
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fairhc.cli
 import fairhc.solver
-from fairhc.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from fairhc.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.pareto import CSV_HEADER
 
@@ -83,6 +83,11 @@ class TestPf:
 
     def test_wrong_dg_count(self, feeder_path):
         assert main(["pf", feeder_path, "--dg", "1"]) == EXIT_INPUT
+
+    def test_divergence_exits_3(self, capsys, feeder_path):
+        # far beyond what the two 0.03-ohm segments can carry away
+        assert main(["pf", feeder_path, "--dg", "1e5,1e5"]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver failure: power flow diverged")
 
 
 class TestSolve:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -242,6 +243,15 @@ class TestFeederValidation:
                 [Load("a", 1.0, 0.0)],
             )
 
+    def test_cycle_with_a_spanning_line_count(self):
+        # two parallel slack-a lines and an isolated bus pass the line-count check
+        with pytest.raises(ValidationError, match="^not radial: line graph contains a cycle$"):
+            _feeder(
+                [Bus("slack", "slack"), Bus("a", "load"), Bus("b", "junction")],
+                [_line("slack", "a"), _line("slack", "a", r=0.01)],
+                [Load("a", 1.0, 0.0)],
+            )
+
     def test_load_on_junction(self):
         with pytest.raises(ValidationError, match="non-load"):
             _feeder(
@@ -409,3 +419,24 @@ class TestElectricalDistance:
         feeder = parse_feeder(json.dumps(feeder_dict()))
         with pytest.raises(UnknownBus):
             electrical_distance(feeder, "ghost")
+
+
+# SHA-256 of the float64 bytes of every bus's electrical distance, in bus order, on
+# SynthSpec(n, layout, 500.0); any change to the summation along a path moves them
+DISTANCE_PINS = {
+    ("linear", 1): "d66a6fbcb3cfbe9c20b0af8062fa91dad964aae8fa43dca15e0dd7600fc727c8",
+    ("linear", 3): "58f220f9c86ce49824b3d4a0cd2b01832988395f17464e5ec3772978ed77573c",
+    ("linear", 10): "f5bafe51c58491516ad6609e60c2b9a600705b50d616b0297aa96038a5ae2c89",
+    ("linear", 30): "8bf2e8c330b32c5b3fb46aa42553101c9b1a123233499397b6f08ef84b5bb2c2",
+    ("branched", 1): "ee8d1421ba92e29493ca0253b4b5c75fde3c2bc082e7748fd41f64e02b7b9fda",
+    ("branched", 3): "5936068b6e9d3a75f33f15ea4113d5e49e7ab66b2396685aabc73a69875bb4ab",
+    ("branched", 10): "4000576fbfa3231678fd016c6c88245aeea18110e15353322a7dde4dcc7edc1b",
+    ("branched", 30): "b9e06ae88ec5f3b24292cf7b682d5feb8b10d6dc05db858caa95cd81295c423e",
+}
+
+
+@pytest.mark.parametrize("layout, n_loads", list(DISTANCE_PINS))
+def test_electrical_distance_pinned(layout, n_loads):
+    feeder = generate_feeder(SynthSpec(n_loads, layout, 500.0))
+    dist = np.array([electrical_distance(feeder, b.id) for b in feeder.buses])
+    assert hashlib.sha256(dist.tobytes()).hexdigest() == DISTANCE_PINS[layout, n_loads]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairhc import powerflow
-from fairhc.errors import NonConvergence
+from fairhc.errors import NonConvergence, SingularJacobian
 from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.netmodel import NormalizedFeeder, to_per_unit
 from fairhc.powerflow import (
@@ -272,6 +272,37 @@ def test_singular_point_leaves_with_its_state():
     assert res.v[1].tolist() == [1.0, 0.5] and res.theta[1].tolist() == [0.0, 0.0]
     assert res.q_flow[1, 0] == pytest.approx(5.0)  # -b V0^2 + V0 V1 b at b = -10
     assert res.mismatch[1] == pytest.approx(2.49)  # |Q1 + q_demand| = |-2.5 + 0.01|
+
+
+def singular_link():
+    """x-only link with 1 pu reactive demand: b = -2, so the first Newton step from a
+    flat start at dg = 0 lands on V = 0.5, where the Q-V entry -2 b V + b is exactly 0."""
+    return mk(2, 0, [(0, 1, 0.0, 0.5)], [1], p_demand=0.0, q_demand=1.0)
+
+
+def test_singular_jacobian_raises():
+    with pytest.raises(SingularJacobian, match="power-flow Jacobian became singular"):
+        solve_power_flow(singular_link(), np.zeros(1))
+
+
+def test_mixed_dense_batch_solves_its_regular_point_as_if_alone():
+    nf = singular_link()
+    res = _solve_batch(nf, np.array([[0.0], [0.1], [0.0]]))
+    assert res.singular.tolist() == [True, False, True]
+    assert res.iterations[[0, 2]].tolist() == [1, 1]
+    assert (res.v[[0, 2]] == [1.0, 0.5]).all() and (res.theta[[0, 2]] == 0.0).all()
+    alone = _solve_batch(nf, np.array([[0.1]]))
+    for name, got, want in zip(res._fields, res, alone):
+        assert np.array_equal(got[1], want[0], equal_nan=True), name
+
+
+def test_adjoint_raises_at_a_singular_state():
+    nf = singular_link()
+    res = _solve_batch(nf, np.zeros((1, 1)))
+    state = PowerFlowState(*(field[0] for field in res[:10]))
+    assert state.v.tolist() == [1.0, 0.5]
+    with pytest.raises(SingularJacobian, match="adjoint system is singular"):
+        adjoint_gradient(nf, np.zeros(1), np.ones(len(residual_labels(nf))), state=state)
 
 
 @pytest.mark.parametrize("seed", range(10))

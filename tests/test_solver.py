@@ -216,6 +216,30 @@ class TestDispatch:
             assert sol.hc_total <= uti.hc_total + 0.005 * abs(uti.hc_total)
 
 
+# Every HCSolution field of bounded(1, 0), whose box is fixed at the egalitarian
+# point: the AL returns that point, re-verified, after one outer pass with no
+# L-BFGS-B iteration.  (allocation, hc_total, kkt_residual) as float.hex, then binding
+FIXED_BOX_PINS = {
+    "lin3": (["0x1.9a1d0ccccccccp-2"] * 2, "0x1.9a1d0ccccccccp-1", "0x1.097deacf00000p-20",
+             ["v_upper[b2]"]),
+    "br4": (["0x1.4195b33333332p-2"] * 3, "0x1.e2608cccccccbp-1", "0x1.f205b54400000p-21",
+            ["v_upper[b2]", "v_upper[b3]"]),
+}
+
+
+@pytest.mark.parametrize("feeder", list(FIXED_BOX_PINS))
+def test_fixed_box_pinned(feeder):
+    nf = {"lin3": make_lin3, "br4": make_br4}[feeder]()
+    refs = solve_references(nf)[0]
+    sol = solve_hc(build_problem(nf, FairnessPolicy.bounded(1.0, 0.0), refs))
+    allocation, hc_total, kkt, binding = FIXED_BOX_PINS[feeder]
+    assert sol.allocation.tolist() == [float.fromhex(h) for h in allocation]
+    assert sol.hc_total == float.fromhex(hc_total)
+    assert sol.kkt_residual == float.fromhex(kkt)
+    assert (sol.status, sol.binding, sol.iterations, sol.disparity) == ("optimal", binding, (1, 0), None)
+    assert type(sol.iterations[1]) is int
+
+
 class TestBruteForceOracle:
     def test_two_bus_grid(self, two_bus):
         prob = build_problem(two_bus, FairnessPolicy.utilitarian())
