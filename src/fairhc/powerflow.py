@@ -11,10 +11,13 @@ Jacobian builder.  The Newton core is batched, bus before batch: B injection
 vectors are solved together as states (n, B), flows (2, 2L, B) and partials
 (2, 2, 2, 2L, B), so gathers select rows and the nodal sums are
 ``plan.inc.T @ flows``.  Points drop out of the batch as they finish.  A step
-with at least ``TREE_MIN_BATCH`` live points solves by block elimination in the
-plan's leaf-first tree order, reading the blocks straight from the flow
-partials; a smaller one builds the dense Jacobians and solves them with
-LAPACK.  The public single-shot API wraps batch size 1.
+solves in one of three ways.  With at least ``TREE_MIN_BATCH`` live points it
+eliminates 2x2 bus blocks in the plan's leaf-first tree order across the batch,
+reading the blocks straight from the flow partials.  A smaller step on a feeder
+of at least ``TREE_MIN_BUSES`` buses runs the same elimination point by point in
+Python floats; on a smaller feeder it builds the dense Jacobians and solves them
+with LAPACK.  The adjoint takes the last two by the same bus-count rule.  The
+public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
@@ -33,10 +36,14 @@ from .netmodel import NormalizedFeeder
 PF_TOL = 1e-8
 PF_MAX_ITER = 50
 _V_FLOOR = 1e-6  # below this a point is declared diverged
-# Live points from which a Newton step solves by tree elimination instead of a
-# dense batched solve.  Measured crossover on a 2-core Xeon with one BLAS thread:
+# Live points from which a Newton step solves by tree elimination across the
+# batch.  Measured crossover against dense on a 2-core Xeon with one BLAS thread:
 # 190-250 points at 7 buses, 130-250 at 11 and 32-64 at 31.
 TREE_MIN_BATCH = 192
+# Buses from which a smaller step, and the adjoint, solve point by point in Python
+# floats instead of by LAPACK.  Measured crossover, same host: 36-41 buses for a
+# power flow and 47-51 for the adjoint.
+TREE_MIN_BUSES = 48
 
 
 @dataclass
@@ -118,6 +125,7 @@ class FeederPlan(NamedTuple):
     jac_pos: np.ndarray  # (2, 2, m + K) flat Jacobian position of each value :func:`_jacobian` scatters
     elim: tuple  # :func:`_tree_solve`'s groups, leaves first: (child, parent, up, down) arrays,
     # ``up`` the flow measured at the child towards its parent and ``down`` its reverse
+    chain: list  # ``elim`` flattened in group order into four lists of ints, for :func:`_chain_solve`
 
 
 def build_plan(nf: NormalizedFeeder) -> FeederPlan:
@@ -166,8 +174,9 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     key = height[kids] * n + rank[kids]
     groups = (kids[key == k] for k in sorted(set(key.tolist())))
     elim = tuple((c, parent[c], up[c], rev[up[c]]) for c in groups)
+    chain = [np.concatenate(col).tolist() for col in zip(*elim)] if elim else [[]] * 4
     g = np.tile([nf.g, -nf.b], 2)[..., None]
-    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, elim)
+    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, elim, chain)
 
 
 def _ends(plan: FeederPlan, v, theta):
@@ -258,6 +267,53 @@ def _tree_solve(plan: FeederPlan, d, F):
     return dx, singular
 
 
+def _chain_solve(chain, diag, far, rhs, transpose=False):
+    """:func:`_tree_solve`'s elimination of one point in Python floats: ``x`` solving ``J x = rhs``,
+    or ``J.T x = rhs``, or None at an exactly singular pivot.  ``diag`` (overwritten) holds a
+    row-major 2x2 block per bus as a 4-list and ``far`` one per oriented flow; ``rhs``
+    (overwritten) and ``x`` are a pair of per-bus lists, (theta or P, V or Q)."""
+    (child, parent, up, down), (r0, r1) = chain, rhs
+    if transpose:  # J.T's blocks are J's transposed, with each line's two far-end blocks swapped
+        diag, far = ([(a, c, b, d) for a, b, c, d in blocks] for blocks in (diag, far))
+        up, down = down, up
+    for k, p, u, w in zip(child, parent, up, down):
+        a, b, c, d = diag[k]
+        det = a * d - b * c
+        if det == 0.0:  # before dividing: a float divided by zero raises
+            return None
+        i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
+        e, f, g, h = far[u]
+        x0, x1, x2, x3 = i0 * e + i1 * g, i0 * f + i1 * h, i2 * e + i3 * g, i2 * f + i3 * h
+        s0, s1 = r0[k], r1[k]
+        y0, y1 = i0 * s0 + i1 * s1, i2 * s0 + i3 * s1
+        diag[k] = (x0, x1, x2, x3, y0, y1)  # the pivot's factors, for the back substitution
+        e, f, g, h = far[w]
+        q0, q1, q2, q3 = diag[p]
+        diag[p] = (q0 - (e * x0 + f * x2), q1 - (e * x1 + f * x3),
+                   q2 - (g * x0 + h * x2), q3 - (g * x1 + h * x3))
+        r0[p] -= e * y0 + f * y1
+        r1[p] -= g * y0 + h * y1
+    z0, z1 = [0.0] * len(diag), [0.0] * len(diag)  # the slack's entries stay zero
+    for k, p in zip(child[::-1], parent[::-1]):
+        x0, x1, x2, x3, y0, y1 = diag[k]
+        s0, s1 = z0[p], z1[p]
+        z0[k], z1[k] = y0 - (x0 * s0 + x1 * s1), y1 - (x2 * s0 + x3 * s1)
+    return z0, z1
+
+
+def _chain_steps(plan: FeederPlan, d, F, transpose=False):
+    """:func:`_tree_solve`'s ``(dx, singular)``, or those of ``J.T dx = -F``, point by
+    point by :func:`_chain_solve`."""
+    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
+    # entry first (theta/V column, P/Q row) to row-major blocks, point first
+    diag, far = (a.transpose(3, 2, 1, 0).reshape(B, -1, 4).tolist() for a in (plan.inc.T @ d[0], d[1]))
+    rhs = np.zeros((B, 2, n))
+    rhs[..., plan.ns] = -F.reshape(2, m, B).transpose(2, 0, 1)
+    x = [_chain_solve(plan.chain, *point, transpose) for point in zip(diag, far, rhs.tolist())]
+    dx = np.array([np.zeros((2, n)) if p is None else p for p in x])[..., plan.ns].transpose(1, 2, 0)
+    return dx.reshape(2 * m, B), np.array([p is None for p in x])
+
+
 class _BatchResult(NamedTuple):
     """Raw arrays from a batched Newton solve, shapes leading with batch size (states and flows
     are views of bus-first arrays); the first ten fields are those of :class:`PowerFlowState`."""
@@ -330,6 +386,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
             d = _flow_partials(plan, ends)
             if len(idx) >= TREE_MIN_BATCH:
                 dx, sing = _tree_solve(plan, d, F)  # no live point was singular
+            elif n >= TREE_MIN_BUSES:
+                dx, sing = _chain_steps(plan, d, F)
             else:
                 if J_buf is None:
                     J_buf = np.zeros((len(idx), 2 * m, 2 * m))
@@ -437,16 +495,21 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
     c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
     d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
-    m2 = 2 * len(plan.ns)
-    J = _jacobian(plan, d, np.zeros((1, m2, m2)))[0]
-    d = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
+    dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
     # the far end of flow k is the measuring end of its reverse
-    per_flow = d[0] + d[1][:, plan.rev]
+    per_flow = dw[0] + dw[1][:, plan.rev]
     per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
     rhs = per_flow @ plan.inc
     rhs[1] += w_vl - w_vu
-    try:
-        lam = np.linalg.solve(J.T, rhs[:, plan.ns].ravel())
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian("adjoint system is singular") from exc
-    return lam[plan.pos[nf.load_bus]]
+    rhs = rhs[:, plan.ns].reshape(-1, 1)
+    if n >= TREE_MIN_BUSES:
+        lam, singular = _chain_steps(plan, d, -rhs, transpose=True)
+    else:
+        m2 = len(rhs)
+        try:
+            lam, singular = np.linalg.solve(_jacobian(plan, d, np.zeros((1, m2, m2)))[0].T, rhs), [False]
+        except np.linalg.LinAlgError:
+            singular = [True]
+    if singular[0]:
+        raise SingularJacobian("adjoint system is singular")
+    return lam[plan.pos[nf.load_bus], 0]

@@ -236,6 +236,21 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
+    def test_large_feeder_power_flow_and_adjoint_load_no_scipy(self):
+        # SciPy's sparse LU was the other way round the dense 201-bus Jacobian, but
+        # loading scipy.sparse.linalg adds over 20 MB of memory; this path loads none
+        code = ("import sys, numpy as np; from fairhc import powerflow as pf; "
+                "from fairhc.netmodel import to_per_unit; "
+                "from fairhc.synth import Conductor, SynthSpec, generate_feeder; "
+                "nf = to_per_unit(generate_feeder(SynthSpec(100, 'branched', 100.0, "
+                "conductor=Conductor(i_rated_a=500.0)))); dg = np.full(100, 0.01); "
+                "w = np.ones(len(pf.residual_labels(nf))); "
+                "pf.adjoint_gradient(nf, dg, w, state=pf.solve_power_flow(nf, dg)); "
+                "print(nf.n_bus, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "201 []\n"
+
     def test_al_solve_keeps_the_minimize_seam(self, lin3):
         seam = fairhc.solver.minimize
         fairhc.solver.solve_hc(build_problem(lin3, FairnessPolicy.utilitarian()))

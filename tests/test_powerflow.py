@@ -13,13 +13,16 @@ from fairhc.netmodel import NormalizedFeeder, to_per_unit
 from fairhc.powerflow import (
     PF_MAX_ITER,
     TREE_MIN_BATCH,
+    TREE_MIN_BUSES,
     ConstraintResiduals,
     PowerFlowState,
+    _chain_solve,
     _ends,
     _flow_partials,
     _jacobian,
     _residual_blocks,
     _solve_batch,
+    _tree_solve,
     adjoint_gradient,
     constraint_residuals,
     residual_labels,
@@ -516,6 +519,139 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
         assert contiguous and shared
 
 
+# ---------------------------------------------------------------------------
+# Scalar elimination: a smaller step on a feeder of TREE_MIN_BUSES buses or more
+# runs _tree_solve's elimination point by point in Python floats, and so does
+# the adjoint.  Monkeypatching TREE_MIN_BUSES moves a feeder between that path
+# and the dense one.
+# ---------------------------------------------------------------------------
+
+LARGE_FEEDERS = [("linear", 60), ("branched", 30), ("linear", 100), ("branched", 100)]  # 61-201 buses
+
+
+@pytest.mark.parametrize("layout, n_loads", LARGE_FEEDERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_scalar_elimination_matches_dense_on_large_feeders(monkeypatch, layout, n_loads, seed):
+    """Flags and step counts equal on every row, floats within 1e-10 on the converged
+    ones (a diverging row's last state amplifies rounding); the batch of three stays
+    below TREE_MIN_BATCH."""
+    nf = synth_feeder(layout, n_loads)
+    assert nf.n_bus >= TREE_MIN_BUSES
+    dg = np.random.default_rng(seed).uniform(0.0, 20.0, size=(3, n_loads)) / nf.s_base
+    dg[2] *= 500.0
+    chain = _solve_batch(nf, dg)
+    monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", nf.n_bus + 1)
+    dense = _solve_batch(nf, dg)
+    assert dense.converged.tolist() == [True, True, False] and dense.iterations[2] < PF_MAX_ITER
+    for name, want, got in zip(dense._fields, dense, chain):
+        if want.dtype == float:
+            np.testing.assert_allclose(got[:2], want[:2], rtol=0, atol=1e-10, err_msg=name)
+        else:
+            assert (got == want).all(), name
+
+
+def tree_case(nf, rng, B=7):
+    """Random states, partials and mismatches of a batch of B points on ``nf``."""
+    v = rng.uniform(0.9, 1.1, size=(nf.n_bus, B))
+    theta = rng.uniform(-0.1, 0.1, size=(nf.n_bus, B))
+    d = _flow_partials(nf.plan, _ends(nf.plan, v, theta))
+    return d, rng.normal(size=(2 * len(nf.plan.ns), B))
+
+
+def scalar_steps(plan, d, F):
+    """Each point's step by _chain_solve, fed the diagonal blocks _tree_solve sums
+    for the whole batch: the nodal sums round differently at another batch size."""
+    D = (plan.inc.T @ d.swapaxes(1, 2)[0]).transpose(3, 2, 0, 1)  # (B, bus, P/Q row, theta/V column)
+    far = d.swapaxes(1, 2)[1].transpose(3, 2, 0, 1)
+    n, m = len(plan.pos), len(plan.ns)
+    out = []
+    for b in range(F.shape[-1]):
+        rhs = np.zeros((2, n))
+        rhs[:, plan.ns] = -F[:, b].reshape(2, m)
+        x = _chain_solve(plan.chain, D[b].reshape(n, 4).tolist(), far[b].reshape(-1, 4).tolist(), rhs.tolist())
+        out.append(None if x is None else np.array(x)[:, plan.ns].ravel())
+    return out
+
+
+def elimination_case(case):
+    """``(nf, rng)``: ``random_tree`` of seed k for "tree<k>", else the synthetic
+    feeder "<layout>-<n_loads>" and a seeded rng."""
+    if case.startswith("tree"):
+        rng = np.random.default_rng(int(case[4:]))
+        return random_tree(rng), rng
+    layout, n_loads = case.split("-")
+    return synth_feeder(layout, int(n_loads)), np.random.default_rng(int(n_loads))
+
+
+@pytest.mark.parametrize("case", [*(f"tree{s}" for s in range(10)), "linear-5", "branched-15",
+                                  *(f"{layout}-{n}" for layout, n in LARGE_FEEDERS)])
+def test_scalar_elimination_is_bit_identical_to_the_batched_one(case):
+    nf, rng = elimination_case(case)
+    d, F = tree_case(nf, rng)
+    dx, singular = _tree_solve(nf.plan, d, F)
+    assert not singular.any()
+    for b, x in enumerate(scalar_steps(nf.plan, d, F)):
+        assert x.tobytes() == dx[:, b].tobytes()
+
+
+def test_scalar_elimination_flags_the_same_singular_points():
+    # the x-only link at theta = 0: V = 0.5 makes the only pivot exactly singular
+    nf = mk(2, 0, [(0, 1, 0.0, 0.1)], [1])
+    v = np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 0.7]])
+    d, F = _flow_partials(nf.plan, _ends(nf.plan, v, np.zeros((2, 3)))), np.ones((2, 3))
+    with np.errstate(all="ignore"):
+        dx, singular = _tree_solve(nf.plan, d, F)
+    x = scalar_steps(nf.plan, d, F)
+    assert singular.tolist() == [False, True, False] and x[1] is None
+    assert x[0].tobytes() == dx[:, 0].tobytes() and x[2].tobytes() == dx[:, 2].tobytes()
+
+
+@pytest.mark.parametrize("case", [*(f"tree{s}" for s in range(5)), "branched-30"])
+def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
+    nf, rng = elimination_case(case)
+    plan, n, m = nf.plan, nf.n_bus, len(nf.plan.ns)
+    d, F = tree_case(nf, rng, B=1)
+    J = _jacobian(plan, d, np.zeros((1, 2 * m, 2 * m)))[0]
+    rhs = np.zeros((2, n))
+    rhs[:, plan.ns] = F[:, 0].reshape(2, m)
+    diag = (plan.inc.T @ d[0]).transpose(2, 1, 0, 3).reshape(n, 4).tolist()
+    x = _chain_solve(plan.chain, diag, d[1].transpose(2, 1, 0, 3).reshape(-1, 4).tolist(), rhs.tolist(),
+                     transpose=True)
+    want = np.linalg.solve(J.T, F[:, 0])
+    np.testing.assert_allclose(np.array(x)[:, plan.ns].ravel(), want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("test", [
+    test_singular_point_leaves_with_its_state,
+    test_singular_jacobian_raises,
+    test_mixed_dense_batch_solves_its_regular_point_as_if_alone,
+    test_adjoint_raises_at_a_singular_state,
+])
+def test_singular_cases_through_the_scalar_elimination(monkeypatch, test):
+    monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", 1)
+    test()
+
+
+def test_large_feeders_never_build_a_dense_jacobian(monkeypatch):
+    calls = []
+    real = powerflow._jacobian
+
+    def spy(plan, d, J):
+        calls.append(len(plan.pos))
+        return real(plan, d, J)
+
+    monkeypatch.setattr(powerflow, "_jacobian", spy)
+    nf = synth_feeder("branched", 100)
+    assert nf.n_bus == 201
+    dg = np.full(nf.n_loads, 10.0) / nf.s_base
+    state = solve_power_flow(nf, dg)
+    adjoint_gradient(nf, dg, np.ones(len(residual_labels(nf))), state=state)
+    assert calls == []
+    small = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder, 7 buses
+    solve_power_flow(small, np.full(3, 0.2))
+    assert calls and set(calls) == {7}
+
+
 class TestAdjointGradient:
     def test_zero_weights(self, lin3):
         w = np.zeros(len(residual_labels(lin3)))
@@ -563,6 +699,35 @@ class TestAdjointGradient:
             cm = constraint_residuals(solve_power_flow(nf, dg - e, tol=tol), nf).as_vector()
             fd[d] = w @ (cp - cm) / (2.0 * h)
         assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
+
+    @pytest.mark.parametrize("make, seed", [
+        *(pytest.param(random_chain, s, id=str(s)) for s in range(5)),
+        *(pytest.param(random_tree, s, id=f"tree{s}") for s in range(20)),
+    ])
+    def test_matches_central_differences_by_scalar_elimination(self, monkeypatch, make, seed):
+        monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", 1)
+        self.test_matches_central_differences(make, seed)
+
+    @pytest.mark.parametrize("layout, n_loads", [("linear", 100), ("branched", 100)])
+    def test_large_feeder_matches_central_differences(self, layout, n_loads):
+        """Criterion 10's rule at 101 and 201 buses, on six loads spread along the feeder."""
+        nf = synth_feeder(layout, n_loads)
+        assert nf.n_bus >= TREE_MIN_BUSES
+        rng = np.random.default_rng(n_loads)
+        dg = rng.uniform(0.0, 20.0, size=n_loads) / nf.s_base
+        w = rng.normal(size=len(residual_labels(nf)))
+        tol, h = 1e-12, 1e-6
+        g = adjoint_gradient(nf, dg, w, tol=tol)
+        entries = np.linspace(0, n_loads - 1, 6).astype(int)
+        fd = []
+        for d in entries:
+            e = np.zeros(n_loads)
+            e[d] = h
+            cp, cm = (constraint_residuals(solve_power_flow(nf, x, tol=tol), nf).as_vector()
+                      for x in (dg + e, dg - e))
+            fd.append(w @ (cp - cm) / (2.0 * h))
+        fd = np.array(fd)
+        assert np.max(np.abs(g[entries] - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
     def test_wrong_weight_shape(self, two_bus):
         with pytest.raises(ValueError):
