@@ -22,6 +22,13 @@ DEFAULT_DTHETA = math.radians(10.0)
 BUS_KINDS = ("slack", "junction", "load")
 
 
+def require_finite(record, where: str) -> None:
+    """Reject a NaN or infinite number field of ``record``, which range checks let through."""
+    for name, value in vars(record).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{where}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Bus:
     """Network node with voltage-magnitude and angle-difference limits (per unit / rad)."""
@@ -34,6 +41,7 @@ class Bus:
     dtheta_max: float = DEFAULT_DTHETA
 
     def __post_init__(self):
+        require_finite(self, f"bus {self.id!r}")
         if self.kind not in BUS_KINDS:
             raise ValidationError(f"bus {self.id!r}: unknown kind {self.kind!r}")
         if not 0.0 < self.v_min < self.v_max:
@@ -55,6 +63,7 @@ class Line:
     nominal_voltage: float  # volt
 
     def __post_init__(self):
+        require_finite(self, f"line {self.from_bus!r}-{self.to_bus!r}")
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: self loop")
         if self.resistance <= 0:
@@ -80,6 +89,7 @@ class GridConnection:
     q_max: float
 
     def __post_init__(self):
+        require_finite(self, "grid connection")
         if self.p_max <= 0 or self.q_max <= 0:
             raise ValidationError("grid connection: p_max and q_max must be > 0")
 
@@ -93,6 +103,7 @@ class Load:
     q_demand: float
 
     def __post_init__(self):
+        require_finite(self, f"load at {self.bus!r}")
         if self.p_demand < 0:
             raise ValidationError(f"load at {self.bus!r}: p_demand must be >= 0")
 
@@ -110,6 +121,7 @@ class Feeder:
     dg_cap: float  # kW, global per-load ceiling
 
     def __post_init__(self):
+        require_finite(self, "feeder")
         if self.s_base <= 0 or self.v_base <= 0:
             raise ValidationError("feeder bases must be > 0")
         if self.dg_cap <= 0:

@@ -11,20 +11,19 @@ Jacobian builder.  The Newton core is batched, bus before batch: B injection
 vectors are solved together as states (n, B), flows (2, 2L, B) and partials
 (2, 2, 2, 2L, B), so gathers select rows and the nodal sums are
 ``plan.inc.T @ flows``.  Points drop out of the batch as they finish.  A step
-solves in one of three ways.  With at least ``TREE_MIN_BATCH`` live points it
-eliminates 2x2 bus blocks in the plan's leaf-first tree order across the batch,
-reading the blocks straight from the flow partials.  A smaller step on a feeder
-of at least ``TREE_MIN_BUSES`` buses runs the same elimination point by point in
-Python floats; on a smaller feeder it builds the dense Jacobians and solves them
-with LAPACK.  The adjoint takes the last two by the same bus-count rule.  The
-public single-shot API wraps batch size 1.
+solves by :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's
+leaf-first order reading them straight from the flow partials, or by LAPACK on
+the dense Jacobians.  :func:`_solve_steps` alone picks the way: from
+``TREE_MIN_BATCH`` live points one elimination runs over (B,) rows, on a feeder
+of ``TREE_MIN_BUSES`` buses or more it runs point by point in Python floats, and
+otherwise LAPACK solves.  The adjoint's transposed solve takes the same choice.
+The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,9 +35,9 @@ from .netmodel import NormalizedFeeder
 PF_TOL = 1e-8
 PF_MAX_ITER = 50
 _V_FLOOR = 1e-6  # below this a point is declared diverged
-# Live points from which a Newton step solves by tree elimination across the
-# batch.  Measured crossover against dense on a 2-core Xeon with one BLAS thread:
-# 190-250 points at 7 buses, 130-250 at 11 and 32-64 at 31.
+# Live points from which a Newton step solves by one elimination over (B,) rows.  One
+# step's crossover against dense, 2-core Xeon, one BLAS thread: 100-110 points at 7 buses,
+# 70-80 at 11, 28-32 at 31.  The value stays above, so every step keeps its path and bits.
 TREE_MIN_BATCH = 192
 # Buses from which a smaller step, and the adjoint, solve point by point in Python
 # floats instead of by LAPACK.  Measured crossover, same host: 36-41 buses for a
@@ -123,9 +122,9 @@ class FeederPlan(NamedTuple):
     inc_ns: np.ndarray  # (2L, m) the non-slack columns of ``inc``
     off: np.ndarray  # (K,) oriented flows with both ends non-slack
     jac_pos: np.ndarray  # (2, 2, m + K) flat Jacobian position of each value :func:`_jacobian` scatters
-    elim: tuple  # :func:`_tree_solve`'s groups, leaves first: (child, parent, up, down) arrays,
-    # ``up`` the flow measured at the child towards its parent and ``down`` its reverse
-    chain: list  # ``elim`` flattened in group order into four lists of ints, for :func:`_chain_solve`
+    chain: list  # :func:`_eliminate`'s order, four lists of Python ints: the non-slack buses stably
+    # sorted by height, so each comes after its children and a parent's children keep breadth-first
+    # order; each one's parent; the flow measured at it towards its parent; that flow's reverse
 
 
 def build_plan(nf: NormalizedFeeder) -> FeederPlan:
@@ -158,25 +157,14 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
             if other[k] != nf.slack and up[other[k]] < 0:
                 up[other[k]] = rev[k]
                 order.append(other[k])
-    # leaf first: a bus's height, its longest path down to a leaf, exceeds its
-    # children's.  Siblings of one height split into groups by rank, so a group
-    # holds one child per parent; the slack's children need no split, as the
-    # slack's block is never a pivot.
-    parent = other[up]
-    height, rank, seen = np.zeros(n, dtype=int), np.zeros(n, dtype=int), Counter()
+    # leaf first: a bus's height, its longest path down to a leaf, exceeds its children's
+    parent, height = other[up], np.zeros(n, dtype=int)
     for child in reversed(order[1:]):
         height[parent[child]] = max(height[parent[child]], height[child] + 1)
-    for child in order[1:]:
-        if parent[child] != nf.slack:
-            rank[child] = seen[parent[child], height[child]]
-            seen[parent[child], height[child]] += 1
-    kids = np.array(order[1:], dtype=int)
-    key = height[kids] * n + rank[kids]
-    groups = (kids[key == k] for k in sorted(set(key.tolist())))
-    elim = tuple((c, parent[c], up[c], rev[up[c]]) for c in groups)
-    chain = [np.concatenate(col).tolist() for col in zip(*elim)] if elim else [[]] * 4
+    kids = np.array(sorted(order[1:], key=height.__getitem__), dtype=int)  # stable: BFS order breaks ties
+    chain = [a.tolist() for a in (kids, parent[kids], up[kids], rev[up[kids]])]
     g = np.tile([nf.g, -nf.b], 2)[..., None]
-    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, elim, chain)
+    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, chain)
 
 
 def _ends(plan: FeederPlan, v, theta):
@@ -227,66 +215,34 @@ def _jacobian(plan: FeederPlan, d, J):
     return J
 
 
-def _mm(a, b):
-    """Products of 2x2 blocks stored entry first: ``a`` is (2, 2, ...), ``b`` a block
-    (2, 2, ...) or a vector (2, 1, ...)."""
-    return a[:, :1] * b[0] + a[:, 1:] * b[1]
+def _eliminate(chain, diag, far, rhs, transpose=False):
+    """``x`` solving ``J x = rhs``, or ``J.T x = rhs``, for a tree-structured Jacobian: eliminates
+    its 2x2 bus blocks leaf first, which creates no fill-in, then substitutes back root first.
 
-
-def _tree_solve(plan: FeederPlan, d, F):
-    """Newton steps ``dx`` (2m, B) solving ``J dx = -F`` for B states, and which points are singular.
-
-    Eliminates the 2x2 bus blocks of the tree-structured Jacobian leaf first,
-    which creates no fill-in, then substitutes back root first.  Blocks are
-    stored entry first and bus before batch, so every entry of a block is a
-    (k, B) array and a bus's rows are contiguous.  A point with an exactly
-    singular pivot block gets ``dx = 0``.
+    ``diag`` holds a row-major 2x2 block per bus as a 4-sequence and ``far`` one per oriented
+    flow; ``rhs`` and ``x`` are a pair of per-bus lists, (theta or P, V or Q).  Every entry is a
+    Python float, for one point, or a (B,) row, for B points at once: the arithmetic is the same.
+    ``rhs`` and ``diag`` are overwritten, ``diag[k]`` with bus k's pivot factors, its determinant
+    last.  A float solve returns None at an exactly singular pivot, as a float divided by zero
+    raises; a row gives non-finite entries at its singular points (divide under ``np.errstate``).
     """
-    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
-    d = d.swapaxes(1, 2)  # (end, P/Q row, theta/V column, 2L, B)
-    D = plan.inc.T @ d[0]  # diagonal blocks; the slack's absorbs its children's updates unread
-    r = np.zeros((2, 1, n, B))
-    r[:, 0, plan.ns] = -F.reshape(2, m, B)
-    singular = np.zeros(B, dtype=bool)
-    factors = []
-    for child, parent, up, down in plan.elim:
-        a = D[:, :, child]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        singular |= (det == 0).any(axis=0)
-        inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-        x_up, x_r = _mm(inv, d[1][:, :, up]), _mm(inv, r[:, :, child])
-        w = d[1][:, :, down]
-        D[:, :, parent] -= _mm(w, x_up)
-        r[:, :, parent] -= _mm(w, x_r)
-        factors.append((x_up, x_r))
-    x = np.zeros((2, 1, n, B))  # the slack's entry stays zero
-    for (child, parent, _, _), (x_up, x_r) in zip(plan.elim[::-1], factors[::-1]):
-        x[:, :, child] = x_r - _mm(x_up, x[:, :, parent])
-    dx = x[:, 0, plan.ns].reshape(2 * m, B)
-    dx[:, singular] = 0.0
-    return dx, singular
-
-
-def _chain_solve(chain, diag, far, rhs, transpose=False):
-    """:func:`_tree_solve`'s elimination of one point in Python floats: ``x`` solving ``J x = rhs``,
-    or ``J.T x = rhs``, or None at an exactly singular pivot.  ``diag`` (overwritten) holds a
-    row-major 2x2 block per bus as a 4-list and ``far`` one per oriented flow; ``rhs``
-    (overwritten) and ``x`` are a pair of per-bus lists, (theta or P, V or Q)."""
     (child, parent, up, down), (r0, r1) = chain, rhs
     if transpose:  # J.T's blocks are J's transposed, with each line's two far-end blocks swapped
-        diag, far = ([(a, c, b, d) for a, b, c, d in blocks] for blocks in (diag, far))
+        diag[:] = [(a, c, b, d) for a, b, c, d in diag]
+        far = [(a, c, b, d) for a, b, c, d in far]
         up, down = down, up
     for k, p, u, w in zip(child, parent, up, down):
         a, b, c, d = diag[k]
         det = a * d - b * c
-        if det == 0.0:  # before dividing: a float divided by zero raises
+        try:
+            i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
+        except ZeroDivisionError:  # floats only: rows divide under np.errstate
             return None
-        i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
         e, f, g, h = far[u]
         x0, x1, x2, x3 = i0 * e + i1 * g, i0 * f + i1 * h, i2 * e + i3 * g, i2 * f + i3 * h
         s0, s1 = r0[k], r1[k]
         y0, y1 = i0 * s0 + i1 * s1, i2 * s0 + i3 * s1
-        diag[k] = (x0, x1, x2, x3, y0, y1)  # the pivot's factors, for the back substitution
+        diag[k] = (x0, x1, x2, x3, y0, y1, det)
         e, f, g, h = far[w]
         q0, q1, q2, q3 = diag[p]
         diag[p] = (q0 - (e * x0 + f * x2), q1 - (e * x1 + f * x3),
@@ -295,23 +251,69 @@ def _chain_solve(chain, diag, far, rhs, transpose=False):
         r1[p] -= g * y0 + h * y1
     z0, z1 = [0.0] * len(diag), [0.0] * len(diag)  # the slack's entries stay zero
     for k, p in zip(child[::-1], parent[::-1]):
-        x0, x1, x2, x3, y0, y1 = diag[k]
+        x0, x1, x2, x3, y0, y1, _ = diag[k]
         s0, s1 = z0[p], z1[p]
         z0[k], z1[k] = y0 - (x0 * s0 + x1 * s1), y1 - (x2 * s0 + x3 * s1)
     return z0, z1
 
 
+def _tree_solve(plan: FeederPlan, d, F):
+    """Newton steps ``dx`` (2m, B) solving ``J dx = -F`` for B states by one :func:`_eliminate`
+    over (B,) rows, and which points are singular; those get ``dx = 0``."""
+    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
+    # row-major blocks from the partials' entry-first (theta/V column, P/Q row) layout; the
+    # slack's diagonal block absorbs its children's updates unread
+    diag, far = (list(zip(a[0, 0], a[1, 0], a[0, 1], a[1, 1])) for a in (plan.inc.T @ d[0], d[1]))
+    r = np.zeros((2, n, B))
+    r[:, plan.ns] = -F.reshape(2, m, B)
+    x = _eliminate(plan.chain, diag, far, [list(r[0]), list(r[1])])
+    singular = np.any([diag[k][-1] == 0 for k in plan.chain[0]], axis=0)  # a pivot's determinant is 0
+    dx = np.array([z[k] for z in x for k in plan.ns.tolist()])
+    dx[:, singular] = 0.0
+    return dx, singular
+
+
 def _chain_steps(plan: FeederPlan, d, F, transpose=False):
-    """:func:`_tree_solve`'s ``(dx, singular)``, or those of ``J.T dx = -F``, point by
-    point by :func:`_chain_solve`."""
+    """:func:`_tree_solve`'s ``(dx, singular)``, or for ``J.T``, by :func:`_eliminate` point by point in floats."""
     B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
     # entry first (theta/V column, P/Q row) to row-major blocks, point first
     diag, far = (a.transpose(3, 2, 1, 0).reshape(B, -1, 4).tolist() for a in (plan.inc.T @ d[0], d[1]))
     rhs = np.zeros((B, 2, n))
     rhs[..., plan.ns] = -F.reshape(2, m, B).transpose(2, 0, 1)
-    x = [_chain_solve(plan.chain, *point, transpose) for point in zip(diag, far, rhs.tolist())]
+    x = [_eliminate(plan.chain, *point, transpose) for point in zip(diag, far, rhs.tolist())]
     dx = np.array([np.zeros((2, n)) if p is None else p for p in x])[..., plan.ns].transpose(1, 2, 0)
     return dx.reshape(2 * m, B), np.array([p is None for p in x])
+
+
+def _solve_steps(plan: FeederPlan, d, F, jac: list, transpose=False):
+    """``(dx, singular)``: the steps ``dx`` (2m, B) solving ``J dx = -F``, or ``J.T dx = -F``, at
+    the B points of ``F``, and which points' systems are singular; those get ``dx = 0``.
+
+    The one place that picks a solver: :func:`_tree_solve` from ``TREE_MIN_BATCH`` points,
+    :func:`_chain_steps` on a feeder of ``TREE_MIN_BUSES`` buses or more, else LAPACK on the dense
+    Jacobians, built in ``jac[0]``, which the first dense call appends and later calls reuse: the
+    structural zeros stay zero.
+    """
+    B = F.shape[-1]
+    if B >= TREE_MIN_BATCH and not transpose:  # the adjoint's transposed solve is one point
+        return _tree_solve(plan, d, F)
+    if len(plan.pos) >= TREE_MIN_BUSES:
+        return _chain_steps(plan, d, F, transpose)
+    if not jac:
+        jac.append(np.zeros((B, len(F), len(F))))
+    J = _jacobian(plan, d, jac[0][:B])
+    if transpose:
+        J = J.swapaxes(1, 2)
+    try:
+        if B == 1:  # a 2-D solve: the batched one costs a small adjoint a few per cent
+            return np.linalg.solve(J[0], -F), np.zeros(1, dtype=bool)
+        return np.linalg.solve(J, -F.T[..., None])[..., 0].T, np.zeros(B, dtype=bool)
+    except np.linalg.LinAlgError:
+        # the solve raises where LU meets a zero pivot, which is where the sign is 0
+        singular = np.linalg.slogdet(J)[0] == 0
+        dx = np.zeros_like(F)
+        dx[:, ~singular] = np.linalg.solve(J[~singular], -F.T[~singular, :, None])[..., 0].T
+        return dx, singular
 
 
 class _BatchResult(NamedTuple):
@@ -353,7 +355,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
         va, ta = (np.array(np.transpose(a), dtype=float, order="C") for a in start)
     v, theta = np.empty((2, n, B))
     pq = np.empty((2, 2 * L, B))
-    J_buf = None  # the dense path's, made at its first step and reused: the structural zeros stay zero
+    jac = []  # the dense solves' Jacobian buffer
     converged, singular = np.zeros((2, B), dtype=bool)
     iterations = np.zeros(B, dtype=int)
     mismatch = np.full(B, np.inf)
@@ -383,22 +385,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                 ends = tuple(a[..., keep] for a in ends)
             if len(idx) == 0:
                 break
-            d = _flow_partials(plan, ends)
-            if len(idx) >= TREE_MIN_BATCH:
-                dx, sing = _tree_solve(plan, d, F)  # no live point was singular
-            elif n >= TREE_MIN_BUSES:
-                dx, sing = _chain_steps(plan, d, F)
-            else:
-                if J_buf is None:
-                    J_buf = np.zeros((len(idx), 2 * m, 2 * m))
-                J = _jacobian(plan, d, J_buf[:len(idx)])
-                try:
-                    dx = np.linalg.solve(J, -F.T[..., None])[..., 0].T
-                except np.linalg.LinAlgError:
-                    # the solve raises where LU meets a zero pivot, which is where the sign is 0
-                    sing = np.linalg.slogdet(J)[0] == 0
-                    dx = np.zeros_like(F)
-                    dx[:, ~sing] = np.linalg.solve(J[~sing], -F.T[~sing, :, None])[..., 0].T
+            dx, sing = _solve_steps(plan, _flow_partials(plan, ends), F, jac)
             ta[ns] += dx[:m]
             va[ns] += dx[m:]
 
@@ -497,19 +484,11 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
     dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
     # the far end of flow k is the measuring end of its reverse
-    per_flow = dw[0] + dw[1][:, plan.rev]
+    per_flow = dw[0] + dw[1].take(plan.rev, axis=1)
     per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
     rhs = per_flow @ plan.inc
     rhs[1] += w_vl - w_vu
-    rhs = rhs[:, plan.ns].reshape(-1, 1)
-    if n >= TREE_MIN_BUSES:
-        lam, singular = _chain_steps(plan, d, -rhs, transpose=True)
-    else:
-        m2 = len(rhs)
-        try:
-            lam, singular = np.linalg.solve(_jacobian(plan, d, np.zeros((1, m2, m2)))[0].T, rhs), [False]
-        except np.linalg.LinAlgError:
-            singular = [True]
+    lam, singular = _solve_steps(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), [], transpose=True)
     if singular[0]:
         raise SingularJacobian("adjoint system is singular")
-    return lam[plan.pos[nf.load_bus], 0]
+    return lam.take(plan.pos.take(nf.load_bus))  # lam is one column

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kpi import gini, price_of_fairness
-from .netmodel import Bus, Feeder, GridConnection, Line, Load, to_per_unit
+from .netmodel import Bus, Feeder, GridConnection, Line, Load, require_finite, to_per_unit
 from .solver import solve_references
 
 LAYOUTS = ("linear", "branched")
@@ -29,6 +29,7 @@ class Conductor:
     i_rated_a: float = 200.0
 
     def __post_init__(self):
+        require_finite(self, "conductor")
         if self.r_ohm_per_km <= 0 or self.x_ohm_per_km < 0 or self.i_rated_a <= 0:
             raise ValidationError("conductor parameters must be positive")
 
@@ -45,6 +46,7 @@ class SynthSpec:
     dg_cap_kw: float = 1000.0
 
     def __post_init__(self):
+        require_finite(self, "synth spec")
         if self.n_loads < 1:
             raise ValidationError("n_loads must be >= 1")
         if self.layout not in LAYOUTS:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -57,6 +58,14 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("key, value", [("r_ohm", math.nan), ("i_rated_a", math.inf),
+                                            ("x_ohm", -math.inf)])
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, key, value):
+        doc = feeder_dict()
+        doc["lines"][0][key] = value
+        assert main(["validate", write_feeder(tmp_path, doc)]) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestStats:
@@ -187,6 +196,15 @@ class TestSynthCommand:
         first = capsys.readouterr().out
         main(["synth", "--n-loads", "3"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("flag, value", [("--trunk-m", "nan"), ("--load-p", "nan"), ("--i-rated", "inf"),
+                                         ("--dg-cap", "-inf")])
+def test_non_finite_synth_option_exits_2(capsys, command, flag, value):
+    assert main([command, "--n-loads", "2", f"{flag}={value}"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and captured.out == ""
 
 
 class TestExperimentCommand:

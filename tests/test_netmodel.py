@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from fairhc.errors import ParseError, SchemaError, UnknownBus, ValidationError
 from fairhc.netmodel import (
+    _FORMAT,
     Bus,
     Feeder,
     GridConnection,
@@ -219,6 +220,24 @@ class TestFileFormat:
             doc["buses"][1][key] = "x"
         with pytest.raises(SchemaError, match="field 'v_min' must be a number"):
             parse_feeder(json.dumps(doc))
+
+
+# every number key of the format: its path into feeder_dict() and its field name
+NUMBER_FIELDS = [((*where, key), name)
+                 for cls, where in ((Feeder, ()), (Bus, ("buses", 1)), (Line, ("lines", 0)),
+                                    (Load, ("loads", 0)), (GridConnection, ("connection",)))
+                 for key, (name, kind) in _FORMAT[cls].items() if kind in ("number", "number?")]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path, name", NUMBER_FIELDS, ids=["/".join(map(str, p)) for p, _ in NUMBER_FIELDS])
+def test_non_finite_numbers_rejected(path, name, bad):
+    """json.loads reads NaN and +-Infinity, and a range check such as ``r > 0`` lets NaN
+    through, so each record rejects a number that is not finite by its field name."""
+    doc = feeder_dict()
+    _set(*path, value=bad)(doc)
+    with pytest.raises(ValidationError, match=f": {name} must be finite$"):
+        parse_feeder(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

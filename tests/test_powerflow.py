@@ -16,7 +16,7 @@ from fairhc.powerflow import (
     TREE_MIN_BUSES,
     ConstraintResiduals,
     PowerFlowState,
-    _chain_solve,
+    _eliminate,
     _ends,
     _flow_partials,
     _jacobian,
@@ -53,10 +53,11 @@ def random_chain(rng):
     return mk(n_loads + 1, 0, lines, list(range(1, n_loads + 1)))
 
 
-def random_tree(rng):
-    """Random radial tree of 3-8 buses: random attachment, the slack at a random
-    index, lines listed and oriented at random, 1-3 loads and the rest junctions."""
-    n = int(rng.integers(3, 9))
+def random_tree(rng, n=None):
+    """Random radial tree of ``n`` buses, else 3-8: random attachment, the slack at a
+    random index, lines listed and oriented at random, 1-3 loads and the rest junctions."""
+    if n is None:
+        n = int(rng.integers(3, 9))
     order = rng.permutation(n)  # order[0] is the slack; each bus attaches to an earlier one
     lines = []
     for i in range(1, n):
@@ -521,9 +522,8 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Scalar elimination: a smaller step on a feeder of TREE_MIN_BUSES buses or more
-# runs _tree_solve's elimination point by point in Python floats, and so does
-# the adjoint.  Monkeypatching TREE_MIN_BUSES moves a feeder between that path
-# and the dense one.
+# runs _eliminate point by point in Python floats, and so does the adjoint.
+# Monkeypatching TREE_MIN_BUSES moves a feeder between that path and the dense one.
 # ---------------------------------------------------------------------------
 
 LARGE_FEEDERS = [("linear", 60), ("branched", 30), ("linear", 100), ("branched", 100)]  # 61-201 buses
@@ -558,19 +558,32 @@ def tree_case(nf, rng, B=7):
     return d, rng.normal(size=(2 * len(nf.plan.ns), B))
 
 
-def scalar_steps(plan, d, F):
-    """Each point's step by _chain_solve, fed the diagonal blocks _tree_solve sums
-    for the whole batch: the nodal sums round differently at another batch size."""
-    D = (plan.inc.T @ d.swapaxes(1, 2)[0]).transpose(3, 2, 0, 1)  # (B, bus, P/Q row, theta/V column)
-    far = d.swapaxes(1, 2)[1].transpose(3, 2, 0, 1)
+def scalar_steps(plan, d, F, transpose=False):
+    """Each point's step by _eliminate in Python floats, fed the diagonal blocks the
+    row mode sums for the whole batch: the nodal sums round differently at another
+    batch size."""
+    D = (plan.inc.T @ d[0]).transpose(3, 2, 1, 0)  # (B, bus, P/Q row, theta/V column)
+    far = d[1].transpose(3, 2, 1, 0)
     n, m = len(plan.pos), len(plan.ns)
     out = []
     for b in range(F.shape[-1]):
         rhs = np.zeros((2, n))
         rhs[:, plan.ns] = -F[:, b].reshape(2, m)
-        x = _chain_solve(plan.chain, D[b].reshape(n, 4).tolist(), far[b].reshape(-1, 4).tolist(), rhs.tolist())
+        x = _eliminate(plan.chain, D[b].reshape(n, 4).tolist(), far[b].reshape(-1, 4).tolist(), rhs.tolist(),
+                       transpose)
         out.append(None if x is None else np.array(x)[:, plan.ns].ravel())
     return out
+
+
+def transposed_row_steps(plan, d, F):
+    """The steps solving ``J.T dx = -F`` by one _eliminate over (B,) rows, fed as _tree_solve
+    feeds it."""
+    n, m, B = len(plan.pos), len(plan.ns), F.shape[-1]
+    diag, far = (list(zip(a[0, 0], a[1, 0], a[0, 1], a[1, 1])) for a in (plan.inc.T @ d[0], d[1]))
+    r = np.zeros((2, n, B))
+    r[:, plan.ns] = -F.reshape(2, m, B)
+    x = _eliminate(plan.chain, diag, far, [list(r[0]), list(r[1])], transpose=True)
+    return np.array([z[k] for z in x for k in plan.ns])
 
 
 def elimination_case(case):
@@ -586,11 +599,16 @@ def elimination_case(case):
 @pytest.mark.parametrize("case", [*(f"tree{s}" for s in range(10)), "linear-5", "branched-15",
                                   *(f"{layout}-{n}" for layout, n in LARGE_FEEDERS)])
 def test_scalar_elimination_is_bit_identical_to_the_batched_one(case):
+    """_eliminate's two modes, (B,) rows and Python floats point by point, give every
+    point the same bits, for J and for J.T; _tree_solve is the row mode."""
     nf, rng = elimination_case(case)
     d, F = tree_case(nf, rng)
     dx, singular = _tree_solve(nf.plan, d, F)
     assert not singular.any()
     for b, x in enumerate(scalar_steps(nf.plan, d, F)):
+        assert x.tobytes() == dx[:, b].tobytes()
+    dx = transposed_row_steps(nf.plan, d, F)
+    for b, x in enumerate(scalar_steps(nf.plan, d, F, transpose=True)):
         assert x.tobytes() == dx[:, b].tobytes()
 
 
@@ -606,6 +624,73 @@ def test_scalar_elimination_flags_the_same_singular_points():
     assert x[0].tobytes() == dx[:, 0].tobytes() and x[2].tobytes() == dx[:, 2].tobytes()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_row_elimination_flags_exactly_the_singular_points(seed):
+    """On a feeder whose leaf hangs off an x-only line, a point with the leaf at half
+    its parent's voltage and angle has a pivot with det exactly 0 (2 V cos t = V_parent).
+    In a batch of B points the rows flag exactly the points whose float solve meets
+    such a pivot, give them dx = 0, and give every other point the bits it gets in a
+    batch without them."""
+    rng = np.random.default_rng(seed)
+    lines = [(0, 1, 0.03, 0.01), (1, 2, 0.02, 0.01), (2, 3, 0.0, 0.1), (1, 4, 0.04, 0.02), (4, 5, 0.0, 0.05)]
+    nf = mk(6, 0, lines, [3, 5])
+    B = 40
+    v, theta = rng.uniform(0.9, 1.1, size=(6, B)), rng.uniform(-0.1, 0.1, size=(6, B))
+    v[0], theta[0] = 1.0, 0.0
+    at3, at5 = rng.random(B) < 0.3, rng.random(B) < 0.3
+    v[3, at3], theta[3, at3] = v[2, at3] / 2, theta[2, at3]
+    v[5, at5], theta[5, at5] = v[4, at5] / 2, theta[4, at5]
+    d = _flow_partials(nf.plan, _ends(nf.plan, v, theta))
+    F = rng.normal(size=(2 * len(nf.plan.ns), B))
+    with np.errstate(all="ignore"):
+        dx, singular = _tree_solve(nf.plan, d, F)
+    x = scalar_steps(nf.plan, d, F)
+    assert singular.tolist() == [p is None for p in x] == (at3 | at5).tolist()
+    assert (dx[:, singular] == 0.0).all()
+    regular = ~singular
+    alone, none = _tree_solve(nf.plan, np.ascontiguousarray(d[..., regular]), F[:, regular])
+    assert not none.any() and dx[:, regular].tobytes() == alone.tobytes()
+    assert all(p.tobytes() == dx[:, b].tobytes() for b, p in enumerate(x) if p is not None)
+
+
+def breadth_first(nf):
+    """The buses in breadth-first order from the slack, each visiting its lines in the
+    order of their oriented flows (those it starts, then those it ends), and each
+    bus's parent."""
+    order, parent = [nf.slack], {nf.slack: None}
+    for bus in order:
+        for nb in [*nf.to_bus[nf.from_bus == bus].tolist(), *nf.from_bus[nf.to_bus == bus].tolist()]:
+            if nb not in parent:
+                parent[nb] = bus
+                order.append(nb)
+    return order, parent
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_plan_chain_puts_each_bus_after_its_children(seed, n):
+    """Every non-slack bus appears once, after all of its children, with its parent and the
+    flows between them; each parent meets its children by height, then in breadth-first
+    order; every entry is a Python int."""
+    nf = random_tree(np.random.default_rng(seed), n)
+    plan = nf.plan
+    child, parent, up, down = plan.chain
+    assert all(type(x) is int for col in plan.chain for x in col)
+    order, par = breadth_first(nf)
+    assert sorted(child) == sorted(order[1:]) and len(child) == n - 1
+    assert parent == [par[c] for c in child]
+    assert plan.at[up].tolist() == child and plan.other[up].tolist() == parent
+    assert plan.rev[up].tolist() == down
+    place = {bus: i for i, bus in enumerate(child)}
+    assert all(place[c] < place[p] for c, p in zip(child, parent) if p != nf.slack)
+    height = {bus: 0 for bus in order}
+    for bus in reversed(order[1:]):
+        height[par[bus]] = max(height[par[bus]], height[bus] + 1)
+    for p in set(parent):
+        kids = [c for c in child if par[c] == p]
+        assert kids == sorted(kids, key=lambda c: (height[c], order.index(c)))
+
+
 @pytest.mark.parametrize("case", [*(f"tree{s}" for s in range(5)), "branched-30"])
 def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
     nf, rng = elimination_case(case)
@@ -615,8 +700,8 @@ def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
     rhs = np.zeros((2, n))
     rhs[:, plan.ns] = F[:, 0].reshape(2, m)
     diag = (plan.inc.T @ d[0]).transpose(2, 1, 0, 3).reshape(n, 4).tolist()
-    x = _chain_solve(plan.chain, diag, d[1].transpose(2, 1, 0, 3).reshape(-1, 4).tolist(), rhs.tolist(),
-                     transpose=True)
+    x = _eliminate(plan.chain, diag, d[1].transpose(2, 1, 0, 3).reshape(-1, 4).tolist(), rhs.tolist(),
+                   transpose=True)
     want = np.linalg.solve(J.T, F[:, 0])
     np.testing.assert_allclose(np.array(x)[:, plan.ns].ravel(), want, rtol=1e-10, atol=1e-12)
 

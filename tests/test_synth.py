@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from fairhc.errors import ValidationError
@@ -21,6 +24,16 @@ class TestSpecValidation:
     def test_bad_conductor(self):
         with pytest.raises(ValidationError):
             Conductor(r_ohm_per_km=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("record, name", [
+        *((Conductor(), f.name) for f in dataclasses.fields(Conductor)),
+        *((SynthSpec(3, "branched", 100.0), name)
+          for name in ("trunk_len_m", "branch_len_m", "load_p_kw", "load_q_kvar", "dg_cap_kw")),
+    ])
+    def test_non_finite_numbers_rejected(self, record, name, bad):
+        with pytest.raises(ValidationError, match=f": {name} must be finite$"):
+            dataclasses.replace(record, **{name: bad})
 
     def test_total_length(self):
         lin = SynthSpec(n_loads=4, layout="linear", trunk_len_m=400.0)
