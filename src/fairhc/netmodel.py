@@ -68,6 +68,8 @@ class Line:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: self loop")
         if self.resistance <= 0:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: resistance must be > 0")
+        if self.length <= 0:
+            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: length must be > 0")
         if self.reactance < 0:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: reactance must be >= 0")
         if self.rated_current <= 0:
@@ -159,6 +161,8 @@ class Feeder:
         missing = load_buses - seen
         if missing:
             raise ValidationError(f"load buses without a load record: {sorted(missing)}")
+        if not self.loads:
+            raise ValidationError("feeder must have at least one load")
 
     @property
     def slack_id(self) -> str:

@@ -24,6 +24,7 @@ The public single-shot API wraps batch size 1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +66,7 @@ class PowerFlowState:
 class ConstraintResiduals:
     """Limit-minus-value margins; a feasible state has every entry >= 0.
 
-    The fields are the blocks of ``_residual_blocks``, in vector order.
+    The fields group the pieces of ``_residual_blocks``, in vector order.
     ``thermal`` and ``angle`` hold both orientations: row 0 is the from-side /
     upper margin, row 1 the to-side / lower margin.
     """
@@ -425,30 +426,35 @@ def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL) 
 # ---------------------------------------------------------------------------
 
 def _residual_blocks(nf: NormalizedFeeder, s):
-    """The :class:`ConstraintResiduals` fields of a :class:`PowerFlowState` or a
-    :class:`_BatchResult`, in vector order; a batch adds its leading axis to every block."""
+    """The residuals of a :class:`PowerFlowState` or a :class:`_BatchResult`, one piece at a time
+    in vector order: voltage upper and lower, thermal from- and to-side, slack P and Q upper and
+    lower, angle upper and lower.  A batch adds its leading axis to every piece."""
     fb, tb = nf.from_bus, nf.to_bus
     s2 = nf.s_rated**2
+    yield nf.v_max - s.v
+    yield s.v - nf.v_min
+    yield s2 - (s.p_flow**2 + s.q_flow**2)
+    yield s2 - (s.p_flow_rev**2 + s.q_flow_rev**2)
+    yield nf.slack_p_max - s.p_slack
+    yield s.p_slack + nf.slack_p_max
+    yield nf.slack_q_max - s.q_slack
+    yield s.q_slack + nf.slack_q_max
     dth = s.theta[..., fb] - s.theta[..., tb]
-    return (
-        nf.v_max - s.v,
-        s.v - nf.v_min,
-        np.stack([s2 - (s.p_flow**2 + s.q_flow**2),
-                  s2 - (s.p_flow_rev**2 + s.q_flow_rev**2)], axis=-2),
-        np.stack([nf.slack_p_max - s.p_slack, s.p_slack + nf.slack_p_max], axis=-1),
-        np.stack([nf.slack_q_max - s.q_slack, s.q_slack + nf.slack_q_max], axis=-1),
-        np.stack([nf.dtheta_max[fb] - dth, dth - nf.dtheta_min[fb]], axis=-2),
-    )
+    yield nf.dtheta_max[fb] - dth
+    yield dth - nf.dtheta_min[fb]
 
 
 def constraint_residuals(state: PowerFlowState, nf: NormalizedFeeder) -> ConstraintResiduals:
     """Margins of Ohm/Kirchhoff-feasible state against every operational limit."""
-    return ConstraintResiduals(*_residual_blocks(nf, state))
+    vu, vl, tf, tr, pu, pl, qu, ql, au, al = _residual_blocks(nf, state)
+    return ConstraintResiduals(vu, vl, np.array([tf, tr]), np.array([pu, pl]), np.array([qu, ql]),
+                               np.array([au, al]))
 
 
 def residual_min_batch(nf: NormalizedFeeder, res: _BatchResult) -> np.ndarray:
-    """Per-point minimum residual for a batched solve (used by the grid oracle), residual by residual."""
-    return np.minimum.reduce([col for blk in _residual_blocks(nf, res) for col in blk.reshape(len(blk), -1).T])
+    """Per-point minimum residual for a batched solve (used by the grid oracle); each piece is
+    reduced as it is formed, so no stacked copy is made."""
+    return functools.reduce(np.minimum, (r.reshape(len(r), -1).min(axis=1) for r in _residual_blocks(nf, res)))
 
 
 # ---------------------------------------------------------------------------

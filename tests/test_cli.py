@@ -68,6 +68,33 @@ class TestValidate:
         assert "must be finite" in capsys.readouterr().err
 
 
+def no_load_docs():
+    """A slack-only feeder, and a slack with one junction and no load."""
+    slack_only = feeder_dict()
+    slack_only.update(buses=slack_only["buses"][:1], lines=[], loads=[])
+    junction = feeder_dict()
+    junction.update(buses=[junction["buses"][0], {"id": "a", "kind": "junction"}],
+                    lines=junction["lines"][:1], loads=[])
+    return {"slack_only": slack_only, "junction": junction}
+
+
+@pytest.mark.parametrize("name", ["slack_only", "junction"])
+@pytest.mark.parametrize("argv", [["validate"], ["pf"], ["solve", "--policy", "utilitarian"]])
+def test_feeder_without_loads_exits_2(capsys, tmp_path, name, argv):
+    path = write_feeder(tmp_path, no_load_docs()[name])
+    assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+    assert "feeder must have at least one load" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [0.0, -500.0])
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_nonpositive_line_length_exits_2(capsys, tmp_path, command, length):
+    doc = feeder_dict()
+    doc["lines"][0]["length_m"] = length
+    assert main([command, write_feeder(tmp_path, doc)]) == EXIT_INPUT
+    assert "length must be > 0" in capsys.readouterr().err
+
+
 class TestStats:
     def test_fields(self, capsys, feeder_path):
         code, payload = run_json(capsys, ["stats", feeder_path])

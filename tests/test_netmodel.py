@@ -304,6 +304,26 @@ class TestFeederValidation:
         with pytest.raises(ValidationError):
             _line("a", "b", r=0.0)
 
+    @pytest.mark.parametrize("length", [0.0, -500.0])
+    def test_nonpositive_length(self, length):
+        with pytest.raises(ValidationError, match="length must be > 0"):
+            _line("a", "b", length=length)
+
+    @pytest.mark.parametrize("length", [0.0, -500.0])
+    def test_nonpositive_length_in_a_file(self, length):
+        doc = feeder_dict()
+        doc["lines"][0]["length_m"] = length
+        with pytest.raises(ValidationError, match="length must be > 0"):
+            parse_feeder(json.dumps(doc))
+
+    def test_slack_only_feeder_has_no_load(self):
+        with pytest.raises(ValidationError, match="^feeder must have at least one load$"):
+            _feeder([Bus("slack", "slack")], [], [])
+
+    def test_feeder_without_loads(self):
+        with pytest.raises(ValidationError, match="^feeder must have at least one load$"):
+            _feeder([Bus("slack", "slack"), Bus("a", "junction")], [_line("slack", "a")], [])
+
     def test_self_loop(self):
         with pytest.raises(ValidationError):
             _line("a", "a")

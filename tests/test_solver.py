@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fairhc import solver
 from fairhc.errors import Infeasible, TooManyLoads
-from fairhc.formulation import FairnessPolicy, build_problem
+from fairhc.formulation import FairnessPolicy, HCProblem, build_problem
 from fairhc.netmodel import parse_feeder, serialize_feeder, to_per_unit
 from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
 from fairhc.solver import (
     FEAS_TOL,
+    ORACLE_CHUNK,
     HCSolution,
+    _grid_points,
     brute_force_oracle,
     brute_force_oracle_batch,
     solve_egalitarian_bisection,
@@ -367,3 +371,55 @@ class TestContinuationSweep:
         for prob, sol in zip(probs, brute_force_oracle_batch(probs, grid_steps=41)):
             assert np.array_equal(sol.allocation, flat_oracle(prob, 41))
         assert solves[-1] == (41 * 41, False)  # the flat-start sweep
+
+
+class TestGridMemory:
+    """The oracle's grid is built once, in place, and solved in ``ORACLE_CHUNK``-point batches."""
+
+    @pytest.mark.parametrize("make", [make_two_bus, make_lin3, make_br4])
+    @pytest.mark.parametrize("policy", [FairnessPolicy.utilitarian(), FairnessPolicy.egalitarian()])
+    @pytest.mark.parametrize("upper", [[0.7, 0.31, 1.1], [0.7, 0.1, 1.1]])  # the second: load 2 fixed
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_points_match_meshgrid(self, make, policy, upper, steps):
+        nf = make()
+        n = nf.n_loads
+        lower, upper = np.array([0.013, 0.1, 0.2])[:n], np.array(upper)[:n]
+        prob = HCProblem(nf, policy, lower, upper)
+        if prob.tie:
+            want = np.linspace(lower.max(), upper.min(), steps)[:, None].repeat(n, axis=1)
+        else:
+            mesh = np.meshgrid(*(np.linspace(lo, hi, steps) for lo, hi in zip(lower, upper)), indexing="ij")
+            want = np.stack([a.ravel() for a in mesh], axis=1)
+        got = _grid_points(prob, steps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.fixture(scope="class")
+    def oracle_grid(self):
+        """The 7-bus feeder of the benchmark's oracle_grid workload, its two problems warmed up."""
+        nf = to_per_unit(generate_feeder(SynthSpec(3, "branched", 200.0, conductor=Conductor(i_rated_a=500.0),
+                                                   dg_cap_kw=60.0)))
+        probs = [build_problem(nf, FairnessPolicy.utilitarian()), build_problem(nf, FairnessPolicy.bargaining(0.5))]
+        brute_force_oracle_batch(probs, grid_steps=5)
+        return probs
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        """(result, peak bytes that tracemalloc saw allocated during the call)."""
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_is_held_once(self, oracle_grid):
+        pts, peak = self.traced_peak(_grid_points, oracle_grid[0], 101)
+        assert pts.shape == (101**3, 3)
+        assert peak <= 1.01 * pts.nbytes  # stacking meshgrid copies peaked at 2.0x
+
+    def test_oracle_working_set_scales_with_the_chunk(self, oracle_grid):
+        # measured beyond the grid: 4.7 MB of slab arrays plus 3.4 kB per batch point, so
+        # 11.7 MB for 2,048-point batches and 39.7 MB for whole 10,201-point slabs
+        grid = 101**3 * 3 * 8
+        sols, peak = self.traced_peak(brute_force_oracle_batch, oracle_grid, grid_steps=101)
+        assert [s.hc_total for s in sols] == pytest.approx([75.0, 64.2])
+        assert peak - grid <= 9e6 + 2e3 * min(ORACLE_CHUNK, 101**2)
