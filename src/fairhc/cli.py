@@ -36,14 +36,12 @@ EXIT_SOLVER = 3
 
 
 def _manifest(args, feeder_text: str | None = None, policy: str | None = None) -> dict:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
     return {
         "command": " ".join(args.argv),
         "feeder_sha256": hashlib.sha256(feeder_text.encode()).hexdigest() if feeder_text else None,
         "policy": policy,
         "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t)),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", args.epoch or time.gmtime()),
     }
 
 
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for arg in positional:
             p.add_argument(arg)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, manifest=True)
         return p
 
     command("validate", _cmd_validate, "parse and validate a feeder file", "feeder")
@@ -209,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(manifest=False)  # CSV out, no manifest
     command("knee", _cmd_knee, "knee point of a frontier CSV", "frontier")
     synth = command("synth", _cmd_synth, "generate a synthetic feeder JSON")
     synth.add_argument("--layout", choices=LAYOUTS, default="linear")
+    synth.set_defaults(manifest=False)  # feeder JSON out, no manifest
     experiment = command("experiment", _cmd_experiment,
                          "matched linear-vs-branched topology comparison")
     for p in (synth, experiment):
@@ -241,6 +241,12 @@ def main(argv: list[str] | None = None) -> int:
             raise FairHCError(f"cannot write {args.out}: is a directory")
         if args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
             raise FairHCError(f"cannot write {args.out}: directory missing or not writable")
+        epoch = os.environ.get("SOURCE_DATE_EPOCH") if args.manifest else None
+        try:  # and so does a manifest's SOURCE_DATE_EPOCH that is no time in range
+            args.epoch = time.gmtime(int(epoch)) if epoch else None
+        except (ValueError, OverflowError, OSError):
+            raise FairHCError(f"SOURCE_DATE_EPOCH must be whole seconds within the platform's time range, "
+                              f"got {epoch!r}") from None
         args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

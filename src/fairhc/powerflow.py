@@ -13,10 +13,14 @@ vectors are solved together as states (n, B), flows (2, 2L, B) and partials
 ``plan.inc.T @ flows``.  Points drop out of the batch as they finish.  A step
 solves by :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's
 leaf-first order reading them straight from the flow partials, or by LAPACK on
-the dense Jacobians.  :func:`_solve_steps` alone picks the way: from
-``TREE_MIN_BATCH`` live points one elimination runs over (B,) rows, on a feeder
-of ``TREE_MIN_BUSES`` buses or more it runs point by point in Python floats, and
-otherwise LAPACK solves.  The adjoint's transposed solve takes the same choice.
+the dense Jacobian.  :func:`_solve_batch` picks the way once per call, from the
+number of points it is given.  A call of two or more points eliminates over (B,)
+rows at every step (:func:`_tree_solve`).  A point's results then hold the same
+bits whatever its batchmates, except through the steps it takes alone, as far as
+NumPy's matmul sums two or more columns alike (measured, not promised).  A
+one-point call goes through :func:`_solve_steps`, which eliminates in Python
+floats on a feeder of ``TREE_MIN_BUSES`` buses or more and otherwise solves by
+LAPACK.  The adjoint's transposed solve is one point and takes the same choice.
 The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
@@ -36,13 +40,9 @@ from .netmodel import NormalizedFeeder
 PF_TOL = 1e-8
 PF_MAX_ITER = 50
 _V_FLOOR = 1e-6  # below this a point is declared diverged
-# Live points from which a Newton step solves by one elimination over (B,) rows.  One
-# step's crossover against dense, 2-core Xeon, one BLAS thread: 100-110 points at 7 buses,
-# 70-80 at 11, 28-32 at 31.  The value stays above, so every step keeps its path and bits.
-TREE_MIN_BATCH = 192
-# Buses from which a smaller step, and the adjoint, solve point by point in Python
-# floats instead of by LAPACK.  Measured crossover, same host: 36-41 buses for a
-# power flow and 47-51 for the adjoint.
+# Buses from which a one-point Newton step, and the adjoint, solve in Python floats
+# instead of by LAPACK.  Measured crossover, 2-core Xeon, one BLAS thread: 36-41 buses
+# for a power flow and 47-51 for the adjoint.
 TREE_MIN_BUSES = 48
 
 
@@ -206,10 +206,10 @@ def _flow_partials(plan: FeederPlan, ends):
     return d
 
 
-def _jacobian(plan: FeederPlan, d, J):
-    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the flow
-    partials of B states, written into ``J``, which must be zero off its structural nonzeros."""
+def _jacobian(plan: FeederPlan, d):
+    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the flow partials of B states."""
     m = len(plan.ns)
+    J = np.zeros((d.shape[-1], 2 * m, 2 * m))
     flat = J.reshape(len(J), -1)
     flat[:, plan.jac_pos[..., :m]] = (plan.inc_ns.T @ d[0]).transpose(3, 0, 1, 2)  # measuring ends, summed per bus
     flat[:, plan.jac_pos[..., m:]] = d[1][..., plan.off, :].transpose(3, 0, 1, 2)  # far ends, one per entry
@@ -260,7 +260,9 @@ def _eliminate(chain, diag, far, rhs, transpose=False):
 
 def _tree_solve(plan: FeederPlan, d, F):
     """Newton steps ``dx`` (2m, B) solving ``J dx = -F`` for B states by one :func:`_eliminate`
-    over (B,) rows, and which points are singular; those get ``dx = 0``."""
+    over (B,) rows, and which points are singular; those get ``dx = 0``.  The elimination is
+    elementwise over the rows; the nodal sums are matmuls, which on the NumPy and OpenBLAS
+    builds measured rounded alike for 2 to 300 columns, and otherwise for one."""
     B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
     # row-major blocks from the partials' entry-first (theta/V column, P/Q row) layout; the
     # slack's diagonal block absorbs its children's updates unread
@@ -274,47 +276,36 @@ def _tree_solve(plan: FeederPlan, d, F):
     return dx, singular
 
 
-def _chain_steps(plan: FeederPlan, d, F, transpose=False):
-    """:func:`_tree_solve`'s ``(dx, singular)``, or for ``J.T``, by :func:`_eliminate` point by point in floats."""
-    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
-    # entry first (theta/V column, P/Q row) to row-major blocks, point first
-    diag, far = (a.transpose(3, 2, 1, 0).reshape(B, -1, 4).tolist() for a in (plan.inc.T @ d[0], d[1]))
-    rhs = np.zeros((B, 2, n))
-    rhs[..., plan.ns] = -F.reshape(2, m, B).transpose(2, 0, 1)
-    x = [_eliminate(plan.chain, *point, transpose) for point in zip(diag, far, rhs.tolist())]
-    dx = np.array([np.zeros((2, n)) if p is None else p for p in x])[..., plan.ns].transpose(1, 2, 0)
-    return dx.reshape(2 * m, B), np.array([p is None for p in x])
+def _chain_step(plan: FeederPlan, d, F, transpose=False):
+    """The step (2m, 1) solving ``J dx = -F``, or ``J.T dx = -F``, at one point by :func:`_eliminate`
+    in Python floats; None where the system is singular."""
+    n, m = len(plan.pos), len(plan.ns)
+    # entry first (theta/V column, P/Q row) to row-major blocks
+    diag, far = (a[..., 0].transpose(2, 1, 0).reshape(-1, 4).tolist() for a in (plan.inc.T @ d[0], d[1]))
+    rhs = np.zeros((2, n))
+    rhs[:, plan.ns] = -F.reshape(2, m)
+    x = _eliminate(plan.chain, diag, far, rhs.tolist(), transpose)
+    return None if x is None else np.array(x)[:, plan.ns].reshape(2 * m, 1)
 
 
-def _solve_steps(plan: FeederPlan, d, F, jac: list, transpose=False):
-    """``(dx, singular)``: the steps ``dx`` (2m, B) solving ``J dx = -F``, or ``J.T dx = -F``, at
-    the B points of ``F``, and which points' systems are singular; those get ``dx = 0``.
+def _solve_steps(plan: FeederPlan, d, F, transpose=False):
+    """``(dx, singular)`` at one point: the step ``dx`` (2m, 1) solving ``J dx = -F``, or
+    ``J.T dx = -F``, and whether the system is singular; a singular one gets ``dx = 0``.
 
-    The one place that picks a solver: :func:`_tree_solve` from ``TREE_MIN_BATCH`` points,
-    :func:`_chain_steps` on a feeder of ``TREE_MIN_BUSES`` buses or more, else LAPACK on the dense
-    Jacobians, built in ``jac[0]``, which the first dense call appends and later calls reuse: the
-    structural zeros stay zero.
+    By :func:`_chain_step` on a feeder of ``TREE_MIN_BUSES`` buses or more, else by LAPACK on
+    the dense Jacobian, whose LU raises exactly where it meets a zero pivot.
     """
-    B = F.shape[-1]
-    if B >= TREE_MIN_BATCH and not transpose:  # the adjoint's transposed solve is one point
-        return _tree_solve(plan, d, F)
     if len(plan.pos) >= TREE_MIN_BUSES:
-        return _chain_steps(plan, d, F, transpose)
-    if not jac:
-        jac.append(np.zeros((B, len(F), len(F))))
-    J = _jacobian(plan, d, jac[0][:B])
-    if transpose:
-        J = J.swapaxes(1, 2)
-    try:
-        if B == 1:  # a 2-D solve: the batched one costs a small adjoint a few per cent
-            return np.linalg.solve(J[0], -F), np.zeros(1, dtype=bool)
-        return np.linalg.solve(J, -F.T[..., None])[..., 0].T, np.zeros(B, dtype=bool)
-    except np.linalg.LinAlgError:
-        # the solve raises where LU meets a zero pivot, which is where the sign is 0
-        singular = np.linalg.slogdet(J)[0] == 0
-        dx = np.zeros_like(F)
-        dx[:, ~singular] = np.linalg.solve(J[~singular], -F.T[~singular, :, None])[..., 0].T
-        return dx, singular
+        dx = _chain_step(plan, d, F, transpose)
+    else:
+        J = _jacobian(plan, d)[0]
+        try:
+            dx = np.linalg.solve(J.T if transpose else J, -F)
+        except np.linalg.LinAlgError:
+            dx = None
+    if dx is None:
+        return np.zeros_like(F), np.ones(1, dtype=bool)
+    return dx, np.zeros(1, dtype=bool)
 
 
 class _BatchResult(NamedTuple):
@@ -338,7 +329,8 @@ class _BatchResult(NamedTuple):
 def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                  start: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchResult:
     """Newton from ``start = (v, theta)``, each ``(B, n)`` with the slack at 1
-    and 0, or from a flat start.
+    and 0, or from a flat start.  Two or more points step by :func:`_tree_solve`
+    to the end, one point by :func:`_solve_steps`.
 
     ``iterations`` holds the step at which each point converged, diverged,
     turned singular or hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
@@ -356,7 +348,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
         va, ta = (np.array(np.transpose(a), dtype=float, order="C") for a in start)
     v, theta = np.empty((2, n, B))
     pq = np.empty((2, 2 * L, B))
-    jac = []  # the dense solves' Jacobian buffer
+    step = _tree_solve if B > 1 else _solve_steps
     converged, singular = np.zeros((2, B), dtype=bool)
     iterations = np.zeros(B, dtype=int)
     mismatch = np.full(B, np.inf)
@@ -386,7 +378,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                 ends = tuple(a[..., keep] for a in ends)
             if len(idx) == 0:
                 break
-            dx, sing = _solve_steps(plan, _flow_partials(plan, ends), F, jac)
+            dx, sing = step(plan, _flow_partials(plan, ends), F)
             ta[ns] += dx[:m]
             va[ns] += dx[m:]
 
@@ -494,7 +486,7 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
     rhs = per_flow @ plan.inc
     rhs[1] += w_vl - w_vu
-    lam, singular = _solve_steps(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), [], transpose=True)
+    lam, singular = _solve_steps(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), transpose=True)
     if singular[0]:
         raise SingularJacobian("adjoint system is singular")
     return lam.take(plan.pos.take(nf.load_bus))  # lam is one column

@@ -359,15 +359,13 @@ def _grid_points(problem: HCProblem, steps: int) -> np.ndarray:
     return pts.reshape(-1, n)
 
 
-def _slab_start(history: list[tuple], shape: tuple[int, int]):
-    """Newton start ``(v, theta)`` of a slab, and where it is not flat.
+def _slab_start(history: list[tuple]):
+    """Newton start ``(v, theta)`` of a slab after another, and where it is not flat.
 
     ``history`` holds ``(converged, v, theta)`` of the last two slabs, newest
     last.  A point extrapolates linearly where both earlier points converged,
     repeats the last state where only it did, and starts flat otherwise.
     """
-    if not history:
-        return np.ones(shape), np.zeros(shape), np.zeros(shape[0], dtype=bool)
     warm, v1, t1 = history[-1]
     v, theta = np.where(warm[:, None], v1, 1.0), np.where(warm[:, None], t1, 0.0)
     if len(history) == 2:
@@ -382,24 +380,25 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray,
            n_slabs: int) -> list[np.ndarray | None]:
     """First best feasible point of ``pts`` for each objective (None if there is
     none), sweeping ``n_slabs`` slabs along the first load; one slab is a plain
-    flat-start sweep."""
+    flat-start sweep.  A slab without history starts each chunk flat, and a slab
+    keeps its states only for a next one."""
     best_val = [-np.inf] * len(objectives)
     best_p: list[np.ndarray | None] = [None] * len(objectives)
     history: list[tuple] = []
-    for slab in pts.reshape(n_slabs, -1, pts.shape[1]):
-        v0, t0, warm = _slab_start(history, (len(slab), nf.n_bus))
-        converged = np.zeros(len(slab), dtype=bool)
-        v, theta = np.empty_like(v0), np.empty_like(t0)
+    for k, slab in enumerate(pts.reshape(n_slabs, -1, pts.shape[1])):
+        v0, t0, warm = _slab_start(history) if history else (None,) * 3
+        states = []  # (converged, v, theta) of each chunk
         for lo in range(0, len(slab), ORACLE_CHUNK):
             part = slice(lo, lo + ORACLE_CHUNK)
             block = slab[part]
-            res = _solve_batch(nf, block, start=(v0[part], t0[part]))
-            retry = np.flatnonzero(~res.converged & warm[part])
+            res = _solve_batch(nf, block, start=None if warm is None else (v0[part], t0[part]))
+            retry = [] if warm is None else np.flatnonzero(~res.converged & warm[part])
             if len(retry):
                 flat = _solve_batch(nf, block[retry])
                 for field, value in zip(res, flat):
                     field[retry] = value
-            converged[part], v[part], theta[part] = res.converged, res.v, res.theta
+            if k + 1 < n_slabs:
+                states.append((res.converged, res.v, res.theta))
             feas = res.converged & (residual_min_batch(nf, res) >= -FEAS_TOL)
             if not feas.any():
                 continue
@@ -409,7 +408,8 @@ def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray,
                 if vals[i] > best_val[mi]:
                     best_val[mi] = float(vals[i])
                     best_p[mi] = block[i].copy()
-        history = [*history[-1:], (converged, v, theta)]
+        if states:
+            history = [*history[-1:], tuple(np.concatenate(a) for a in zip(*states))]
     return best_p
 
 

@@ -313,6 +313,28 @@ class TestDeterminism:
         main(argv)
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("epoch", ["soon", "99999999999999999999"])  # not an integer; beyond time_t
+    def test_bad_epoch_exits_2_before_the_command_runs(self, capsys, feeder_path, monkeypatch, epoch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before SOURCE_DATE_EPOCH was checked")
+
+        monkeypatch.setattr(fairhc.cli, "solve_hc", no_work)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["solve", feeder_path, "--policy", "egalitarian"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: SOURCE_DATE_EPOCH must be whole seconds")
+        assert err.endswith(f", got {epoch!r}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["pareto", "FEEDER", "--family", "bounded_upper", "--steps", "2"],
+                                      ["synth", "--n-loads", "3"]])
+    def test_commands_without_a_manifest_ignore_the_epoch(self, capsys, feeder_path, monkeypatch, argv):
+        argv = [feeder_path if a == "FEEDER" else a for a in argv]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "soon")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == plain
+
     def test_log_env_accepted(self, capsys, feeder_path, monkeypatch):
         monkeypatch.setenv("FAIRHC_LOG", "DEBUG")
         assert main(["validate", feeder_path]) == EXIT_OK

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairhc import powerflow
+from fairhc import powerflow, solver
 from fairhc.errors import NonConvergence, SingularJacobian
 from fairhc.formulation import FairnessPolicy, build_problem
 from fairhc.netmodel import NormalizedFeeder, to_per_unit
 from fairhc.powerflow import (
     PF_MAX_ITER,
-    TREE_MIN_BATCH,
     TREE_MIN_BUSES,
     ConstraintResiduals,
     PowerFlowState,
@@ -29,7 +28,7 @@ from fairhc.powerflow import (
     residual_min_batch,
     solve_power_flow,
 )
-from fairhc.solver import ORACLE_CHUNK, _grid_points, _slab_start, _sweep, brute_force_oracle_batch
+from fairhc.solver import _grid_points, _slab_start, brute_force_oracle_batch
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import mk, make_two_bus
@@ -225,7 +224,8 @@ def test_jacobian_matches_line_loop(seed):
     v = rng.uniform(0.9, 1.1, size=(3, nf.n_bus))
     theta = rng.uniform(-0.1, 0.1, size=(3, nf.n_bus))
     m2 = 2 * len(nf.plan.ns)
-    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v.T, theta.T)), np.zeros((3, m2, m2)))
+    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v.T, theta.T)))
+    assert J.shape == (3, m2, m2)
     for i in range(3):
         assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
 
@@ -290,15 +290,16 @@ def test_singular_jacobian_raises():
         solve_power_flow(singular_link(), np.zeros(1))
 
 
-def test_mixed_dense_batch_solves_its_regular_point_as_if_alone():
+def test_mixed_singular_batch_solves_its_regular_point_as_in_a_regular_batch():
     nf = singular_link()
     res = _solve_batch(nf, np.array([[0.0], [0.1], [0.0]]))
     assert res.singular.tolist() == [True, False, True]
     assert res.iterations[[0, 2]].tolist() == [1, 1]
     assert (res.v[[0, 2]] == [1.0, 0.5]).all() and (res.theta[[0, 2]] == 0.0).all()
-    alone = _solve_batch(nf, np.array([[0.1]]))
-    for name, got, want in zip(res._fields, res, alone):
-        assert np.array_equal(got[1], want[0], equal_nan=True), name
+    regular = _solve_batch(nf, np.array([[0.2], [0.1]]))
+    assert not regular.singular.any()
+    for name, got, want in zip(res._fields, res, regular):
+        assert np.array_equal(got[1], want[1], equal_nan=True), name
 
 
 def test_adjoint_raises_at_a_singular_state():
@@ -348,16 +349,16 @@ def newton_path(case):
 
 
 def large_batch_path(nf, dg, start):
-    """Batches whose steps reach the tree elimination: ``batch_mix`` with each row
-    repeated TREE_MIN_BATCH times, then the first two 101-step slabs of the
-    oracle_grid feeder, the first from a flat start and the second warm from it."""
-    k = TREE_MIN_BATCH
+    """Large batches: ``batch_mix`` with each row repeated 192 times, then the first
+    two 101-step slabs of the oracle_grid feeder, the first from a flat start and
+    the second warm from it."""
+    k = 192
     res = _solve_batch(nf, np.repeat(dg, k, axis=0), start=tuple(np.repeat(a, k, axis=0) for a in start))
     out = [*res, residual_min_batch(nf, res)]
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)
     slabs = _grid_points(build_problem(nf, FairnessPolicy.utilitarian()), 101).reshape(101, -1, 3)
     flat = _solve_batch(nf, slabs[0])
-    v, theta, _ = _slab_start([(flat.converged, flat.v, flat.theta)], (len(slabs[1]), nf.n_bus))
+    v, theta, _ = _slab_start([(flat.converged, flat.v, flat.theta)])
     warm = _solve_batch(nf, slabs[1], start=(v, theta))
     assert flat.converged.any() and warm.converged.any() and warm.iterations.mean() < flat.iterations.mean()
     for res in (flat, warm):
@@ -392,8 +393,8 @@ NEWTON_PINS = {
     "tree7": "57e444e10bc681bace47f109cc66050fb4a689cbc0fc29fc3c0313ba8a6b3d26",
     "tree8": "b78a1249e92ab2e01c20383a32dbc31b405955954fcc32e05ef05a505ab6cabb",
     "tree9": "62be69577272185a5f38884a301b7f40eb7e037515c10b8a0340159131e139dc",
-    "batch": "17beffdea010a498b1b75a6d04e090f117eab5c0f68f574bac8081a34262a0d6",
-    "large": "fe06c567b9596046a1922ec3d49a91aedf51955619883e62b18ec8a1c23dd6e8",
+    "batch": "3c54997db8fbd880d563cb40ddfed968f78a0e74a107891124ea0dd299de24dd",
+    "large": "9e00bdef07216ab1f7c6107e86b5e0fa7385517b8f456ee1689d9630e19d7c7d",
 }
 
 
@@ -406,30 +407,53 @@ def test_newton_path_pinned(case):
 
 
 # ---------------------------------------------------------------------------
-# Tree elimination: a step with TREE_MIN_BATCH or more live points takes it.
-# Each row repeated TREE_MIN_BATCH times keeps every step of the repeated batch
-# on the tree path, while the rows alone stay on the dense path.
+# Tree elimination: every step of a call with two or more points takes it.  A
+# one-point call takes the dense path, or the scalar one on large feeders, so each
+# row solved alone is the reference for the same row in a batch.
 # ---------------------------------------------------------------------------
 
+def one_point_calls(nf, dg, start=None):
+    """Each row of ``dg`` solved by its own one-point call, stacked like a batch's results."""
+    rows = [_solve_batch(nf, dg[i:i + 1], start=None if start is None else tuple(a[i:i + 1] for a in start))
+            for i in range(len(dg))]
+    return type(rows[0])(*(np.concatenate(fields) for fields in zip(*rows)))
+
+
+def lapack_steps(plan, d, F):
+    """:func:`_tree_solve`'s ``(dx, singular)`` by LAPACK: the dense Jacobians of all points built
+    at once, then one 2-D solve per point, whose ``LinAlgError`` marks the point singular.  This
+    is the batched dense step that the row elimination replaced, with the same bits."""
+    dx, singular = np.zeros_like(F), np.zeros(F.shape[-1], dtype=bool)
+    for i, J in enumerate(_jacobian(plan, d)):
+        try:
+            dx[:, i:i + 1] = np.linalg.solve(J, -F[:, i:i + 1])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return dx, singular
+
+
 def assert_tree_matches_dense(nf, dg, start=None):
-    """Flags and step counts equal on every row; floats within 1e-10 on every row
-    that stopped before PF_MAX_ITER.  A point that wanders PF_MAX_ITER steps
-    without a solution grows the two paths' rounding difference about 3.5x per
-    step (1e-13 at step 10, 0.1 at step 50 on ``batch_mix``'s row 4), so its
-    final state is compared by its flags alone."""
-    k = TREE_MIN_BATCH
-    dense = _solve_batch(nf, dg, start=start)
-    tree = _solve_batch(nf, np.repeat(dg, k, axis=0),
-                        start=None if start is None else tuple(np.repeat(a, k, axis=0) for a in start))
+    """A batch against the same batch stepped by LAPACK: flags and step counts equal on
+    every row; floats within 1e-10 on every row that stopped before PF_MAX_ITER.  A
+    point that wanders PF_MAX_ITER steps without a solution grows the two paths'
+    rounding difference about 3.5x per step (1e-13 at step 10, 0.1 at step 50 on
+    ``batch_mix``'s row 4), so its final state is compared by its flags alone.  The
+    reference shares the batch's nodal sums; each row solved by its own one-point
+    call could not serve, as ``batch_mix``'s row 4 alone diverges at step 45.
+    Returns the batch's results."""
+    assert len(dg) >= 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "_tree_solve", lapack_steps)
+        dense = _solve_batch(nf, dg, start=start)
+    tree = _solve_batch(nf, dg, start=start)
     stopped = dense.iterations < PF_MAX_ITER
     for name, want, got in zip(dense._fields, dense, tree):
-        got = got.reshape(len(want), k, *want.shape[1:])
         if want.dtype == float:
-            np.testing.assert_allclose(got[stopped], np.repeat(want[stopped, None], k, axis=1),
-                                       rtol=0, atol=1e-10, equal_nan=True, err_msg=name)
+            np.testing.assert_allclose(got[stopped], want[stopped], rtol=0, atol=1e-10, equal_nan=True,
+                                       err_msg=name)
         else:
-            assert (got == want[:, None]).all(), name
-    return dense
+            assert (got == want).all(), name
+    return tree
 
 
 def synth_feeder(layout, n_loads, **spec):
@@ -466,7 +490,7 @@ def test_tree_singular_point_leaves_with_its_state(seed):
     # the x-only link of test_singular_point_leaves_with_its_state, among converging points
     rng = np.random.default_rng(seed)
     nf = mk(2, 0, [(0, 1, 0.0, 0.1)], [1])
-    B = TREE_MIN_BATCH + int(rng.integers(0, 50))
+    B = 20 + int(rng.integers(0, 50))
     v = np.where(rng.random((B, 1)) < 0.5, [1.0, 0.5], [1.0, 1.0])
     res = _solve_batch(nf, rng.uniform(0.1, 0.5, size=(B, 1)), start=(v, np.zeros((B, 2))))
     sing = v[:, 1] == 0.5
@@ -475,24 +499,67 @@ def test_tree_singular_point_leaves_with_its_state(seed):
     assert (res.v[sing] == [1.0, 0.5]).all() and (res.theta[sing] == 0.0).all()
 
 
-def test_only_large_batches_reach_the_tree_elimination(monkeypatch):
-    sizes = []
-    real = powerflow._tree_solve
+def steps_alone(res):
+    """Which points of a batch's results took steps as the batch's only live point: the
+    one that left strictly last, if any."""
+    leave = res.iterations + res.singular  # the pass at which each point left
+    return leave > np.sort(leave)[-2]
 
-    def spy(plan, d, F):
-        sizes.append(F.shape[-1])
-        return real(plan, d, F)
 
-    monkeypatch.setattr(powerflow, "_tree_solve", spy)
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_results_do_not_depend_on_batchmates(seed):
+    """A point's every result holds the same bits in any batch of two or more points:
+    random subsets, in random order, of ``batch_mix`` and of 300 points on a random tree.
+    A point that steps alone in either batch is left out, as NumPy's matmul may sum one
+    column in another order than several.  That several columns sum alike is what was
+    measured on the NumPy and OpenBLAS builds this was written with (2 to 300 columns)."""
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng)
+    cases = [batch_mix(), (nf, rng.uniform(0.0, 3.0, size=(300, nf.n_loads)), None)]
+    for nf, dg, start in cases:
+        full = _solve_batch(nf, dg, start=start)
+        for _ in range(6):
+            pick = rng.choice(len(dg), size=int(rng.integers(2, len(dg) + 1)), replace=False)
+            res = _solve_batch(nf, dg[pick], start=None if start is None else tuple(a[pick] for a in start))
+            shared = ~steps_alone(res) & ~steps_alone(full)[pick]
+            assert shared.sum() >= len(pick) - 2
+            for name, want, got in zip(full._fields, full, res):
+                assert got[shared].tobytes() == want[pick][shared].tobytes(), name
+
+
+def test_batch_calls_step_by_the_tree_elimination_and_one_point_calls_never(monkeypatch):
+    """Every step of a call with two or more points goes to _tree_solve, down to its
+    last live point, and every step of a one-point call to _solve_steps."""
+    calls = []  # per _solve_batch call: its batch size, its points' step counts, its steps
+    real_batch, real_tree, real_steps = powerflow._solve_batch, powerflow._tree_solve, powerflow._solve_steps
+
+    def batch(nf, dg, *args, **kwargs):
+        calls.append([len(dg), None, []])
+        res = real_batch(nf, dg, *args, **kwargs)
+        calls[-1][1] = res.iterations + res.singular
+        return res
+
+    def spy(name, real):
+        def step(plan, d, F):
+            calls[-1][2].append((name, F.shape[-1]))
+            return real(plan, d, F)
+        return step
+
+    monkeypatch.setattr(powerflow, "_solve_batch", batch)
+    monkeypatch.setattr(solver, "_solve_batch", batch)
+    monkeypatch.setattr(powerflow, "_tree_solve", spy("tree", real_tree))
+    monkeypatch.setattr(powerflow, "_solve_steps", spy("one", real_steps))
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder, 7 buses
     solve_power_flow(nf, np.full(3, 0.2))
     problems = [build_problem(nf, FairnessPolicy.utilitarian()),
                 build_problem(nf, FairnessPolicy.bargaining(0.5))]
-    brute_force_oracle_batch(problems, grid_steps=5)  # 25-point slabs
-    assert sizes == []
-    pts = _grid_points(problems[0], 101)[:2 * 101**2]  # the first two 101-step slabs
-    _sweep(nf, [problems[0].objective], pts, 2)
-    assert max(sizes) == min(101**2, ORACLE_CHUNK)
+    brute_force_oracle_batch(problems, grid_steps=5)  # 25-point slabs, then the winners alone
+    assert calls[0][0] == 1 and {B for B, _, _ in calls} == {1, 25}
+    for B, steps_per_point, steps in calls:
+        # a point leaving at step k is live in steps 0..k-1, so step s has this many live points
+        live = [int((steps_per_point > s).sum()) for s in range(steps_per_point.max())]
+        assert steps == [("tree" if B > 1 else "one", b) for b in live]
+    assert any(b < B for B, _, steps in calls if B > 1 for _, b in steps)  # batches shrank on the tree path
 
 
 def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
@@ -517,13 +584,13 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
     assert seen and seen[0][0][-1] == 101**2
     for d_shape, F_shape, contiguous, shared in seen:
         B = F_shape[-1]
-        assert B >= TREE_MIN_BATCH and F_shape == (2 * m, B) and d_shape == (2, 2, 2, 2 * L, B)
+        assert F_shape == (2 * m, B) and d_shape == (2, 2, 2, 2 * L, B)
         assert contiguous and shared
 
 
 # ---------------------------------------------------------------------------
-# Scalar elimination: a smaller step on a feeder of TREE_MIN_BUSES buses or more
-# runs _eliminate point by point in Python floats, and so does the adjoint.
+# Scalar elimination: a one-point step on a feeder of TREE_MIN_BUSES buses or more
+# runs _eliminate in Python floats, and so does the adjoint.
 # Monkeypatching TREE_MIN_BUSES moves a feeder between that path and the dense one.
 # ---------------------------------------------------------------------------
 
@@ -533,22 +600,24 @@ LARGE_FEEDERS = [("linear", 60), ("branched", 30), ("linear", 100), ("branched",
 @pytest.mark.parametrize("layout, n_loads", LARGE_FEEDERS)
 @pytest.mark.parametrize("seed", range(3))
 def test_scalar_elimination_matches_dense_on_large_feeders(monkeypatch, layout, n_loads, seed):
-    """Flags and step counts equal on every row, floats within 1e-10 on the converged
-    ones (a diverging row's last state amplifies rounding); the batch of three stays
-    below TREE_MIN_BATCH."""
+    """A batch of three against its rows solved alone, in floats and by LAPACK: flags and step
+    counts equal on every row, floats within 1e-10 on the converged ones (a diverging row's
+    last state amplifies rounding)."""
     nf = synth_feeder(layout, n_loads)
     assert nf.n_bus >= TREE_MIN_BUSES
     dg = np.random.default_rng(seed).uniform(0.0, 20.0, size=(3, n_loads)) / nf.s_base
     dg[2] *= 500.0
-    chain = _solve_batch(nf, dg)
+    tree = _solve_batch(nf, dg)
+    chain = one_point_calls(nf, dg)
     monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", nf.n_bus + 1)
-    dense = _solve_batch(nf, dg)
+    dense = one_point_calls(nf, dg)
     assert dense.converged.tolist() == [True, True, False] and dense.iterations[2] < PF_MAX_ITER
-    for name, want, got in zip(dense._fields, dense, chain):
-        if want.dtype == float:
-            np.testing.assert_allclose(got[:2], want[:2], rtol=0, atol=1e-10, err_msg=name)
-        else:
-            assert (got == want).all(), name
+    for name, want, *got in zip(dense._fields, dense, chain, tree):
+        for g in got:
+            if want.dtype == float:
+                np.testing.assert_allclose(g[:2], want[:2], rtol=0, atol=1e-10, err_msg=name)
+            else:
+                assert (g == want).all(), name
 
 
 def tree_case(nf, rng, B=7):
@@ -697,7 +766,7 @@ def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
     nf, rng = elimination_case(case)
     plan, n, m = nf.plan, nf.n_bus, len(nf.plan.ns)
     d, F = tree_case(nf, rng, B=1)
-    J = _jacobian(plan, d, np.zeros((1, 2 * m, 2 * m)))[0]
+    J = _jacobian(plan, d)[0]
     rhs = np.zeros((2, n))
     rhs[:, plan.ns] = F[:, 0].reshape(2, m)
     diag = (plan.inc.T @ d[0]).transpose(2, 1, 0, 3).reshape(n, 4).tolist()
@@ -710,7 +779,7 @@ def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
 @pytest.mark.parametrize("test", [
     test_singular_point_leaves_with_its_state,
     test_singular_jacobian_raises,
-    test_mixed_dense_batch_solves_its_regular_point_as_if_alone,
+    test_mixed_singular_batch_solves_its_regular_point_as_in_a_regular_batch,
     test_adjoint_raises_at_a_singular_state,
 ])
 def test_singular_cases_through_the_scalar_elimination(monkeypatch, test):
@@ -722,9 +791,9 @@ def test_large_feeders_never_build_a_dense_jacobian(monkeypatch):
     calls = []
     real = powerflow._jacobian
 
-    def spy(plan, d, J):
+    def spy(plan, d):
         calls.append(len(plan.pos))
-        return real(plan, d, J)
+        return real(plan, d)
 
     monkeypatch.setattr(powerflow, "_jacobian", spy)
     nf = synth_feeder("branched", 100)

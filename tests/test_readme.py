@@ -1,6 +1,8 @@
 """The README's examples stay runnable: every ``fairhc`` command line of the
 CLI block parses, the quick-start block runs, the file-format section names
-every key that the parser accepts, and the package layout lists every module."""
+every key that the parser accepts, and the package layout lists every module
+and names only constants that exist."""
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -50,3 +52,11 @@ def test_package_layout_lists_every_module():
     listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.M))
     modules = {p.name for p in Path(fairhc.__file__).parent.glob("*.py")} - {"__init__.py"}
     assert listed == modules
+
+
+def test_package_layout_names_only_existing_constants():
+    block = README.split("## Package layout")[1].split("```")[1]
+    named = set(re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", block))
+    modules = [importlib.import_module(f"fairhc.{p.stem}") for p in Path(fairhc.__file__).parent.glob("*.py")]
+    missing = {name for name in named if not any(hasattr(module, name) for module in modules)}
+    assert named and not missing, sorted(missing)

@@ -13,6 +13,7 @@ from fairhc.solver import (
     ORACLE_CHUNK,
     HCSolution,
     _grid_points,
+    _sweep,
     brute_force_oracle,
     brute_force_oracle_batch,
     solve_egalitarian_bisection,
@@ -423,3 +424,13 @@ class TestGridMemory:
         sols, peak = self.traced_peak(brute_force_oracle_batch, oracle_grid, grid_steps=101)
         assert [s.hc_total for s in sols] == pytest.approx([75.0, 64.2])
         assert peak - grid <= 9e6 + 2e3 * min(ORACLE_CHUNK, 101**2)
+
+    def test_one_slab_sweep_holds_no_whole_grid_state(self, oracle_grid):
+        # a flat sweep of the whole grid in one slab, as the fallback re-sweep runs it: each
+        # chunk starts flat and no state is kept, so the working set beyond the grid stays
+        # within the chunk bound above (whole-grid start and state arrays took 37 MB here)
+        nf, objectives = oracle_grid[0].feeder, [p.objective for p in oracle_grid]
+        pts = _grid_points(oracle_grid[0], 51)
+        best, peak = self.traced_peak(_sweep, nf, objectives, pts, 1)
+        assert peak <= 9e6 + 2e3 * min(ORACLE_CHUNK, len(pts))
+        assert all(np.array_equal(a, b) for a, b in zip(best, _sweep(nf, objectives, pts, 51)))
