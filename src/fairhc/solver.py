@@ -11,12 +11,12 @@ a fixed one included, to the second:
   bound-projected quasi-Newton (L-BFGS-B) driven by adjoint gradients,
   deterministic 3-point multi-start.
 * ``brute_force_oracle`` -- exhaustive feasibility grid for desk-scale feeders,
-  used as an independent verification oracle.  It sweeps the grid as a
-  continuation along the first load: each slab of points sharing one value of
-  that load starts Newton from the converged states of the same points in the
-  two slabs before it.  It falls back to a flat start where that fails, and
-  to a flat-start sweep of the whole grid if a winner does not re-verify from
-  a flat start.
+  used as an independent verification oracle.  It makes the grid chunk by
+  chunk, never whole, and sweeps it as a continuation along the first load:
+  each slab of points sharing one value of that load starts Newton from the
+  converged states of the same points in the two slabs before it.  It falls
+  back to a flat start where that fails, and to a flat-start sweep of the
+  whole grid if a winner does not re-verify from a flat start.
 
 ``solve_references`` gives the utilitarian/egalitarian pair that the bounded
 policy and the frontier sweeps start from.
@@ -44,10 +44,10 @@ from .powerflow import (
 
 FEAS_TOL = 1e-6  # pu; residual >= -FEAS_TOL counts as satisfied
 GRID_STEPS = 201  # default oracle resolution per dimension
-# Grid points per batched Newton solve, which bounds the oracle's working set besides the grid.
-# 101-step oracle_grid call (7 buses), 2-core Xeon, one BLAS thread: 16,384 (every 10,201-point
-# slab whole), 4,096 and 2,048 all took 2.0-2.9 s; peak RSS 100, 80 and 73 MB.  The 201-step
-# acceptance oracle (criterion 4) took 31, 23 and 21 s.
+# Grid points per batched Newton solve; the oracle makes its grid one such chunk at a time.
+# First 101-step oracle_grid call in a fresh process (7 buses), 2-core Xeon, one BLAS thread:
+# 16,384 (every 10,201-point slab whole), 4,096 and 2,048 took 2.8-3.5, 2.7-3.7 and 2.3-2.5 s;
+# peak RSS 69, 48 and 43 MB.  The 201-step acceptance oracles (criterion 4) took 28, 24 and 25 s.
 ORACLE_CHUNK = 2048
 _BINDING_TOL = 1e-5
 _FAIL_PENALTY = 1e6
@@ -348,15 +348,14 @@ def solve_references(nf: NormalizedFeeder) -> tuple[References, HCSolution, HCSo
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _grid_points(problem: HCProblem, steps: int) -> np.ndarray:
-    n = problem.n_loads
+def _grid_block(problem: HCProblem, steps: int, lo: int, hi: int) -> np.ndarray:
+    """Grid points ``lo:hi`` in meshgrid "ij" order (the tied line for a tied
+    problem), gathered from each load's ``np.linspace``: no grid-sized array."""
+    n, idx = problem.n_loads, np.arange(lo, hi)
     if problem.tie:
-        return np.linspace(problem.lower.max(), problem.upper.min(), steps)[:, None].repeat(n, axis=1)
-    # the meshgrid points in "ij" order, written in place: no meshgrid copies
-    pts = np.empty((steps,) * n + (n,))
-    for d in range(n):
-        pts[..., d] = np.linspace(problem.lower[d], problem.upper[d], steps).reshape((-1,) + (1,) * (n - 1 - d))
-    return pts.reshape(-1, n)
+        return np.linspace(problem.lower.max(), problem.upper.min(), steps)[idx, None].repeat(n, axis=1)
+    axes = np.unravel_index(idx, (steps,) * n)
+    return np.stack([np.linspace(problem.lower[d], problem.upper[d], steps)[i] for d, i in enumerate(axes)], axis=1)
 
 
 def _slab_start(history: list[tuple]):
@@ -376,21 +375,23 @@ def _slab_start(history: list[tuple]):
     return v, theta, warm
 
 
-def _sweep(nf: NormalizedFeeder, objectives: list, pts: np.ndarray,
+def _sweep(nf: NormalizedFeeder, objectives: list, problem: HCProblem, steps: int,
            n_slabs: int) -> list[np.ndarray | None]:
-    """First best feasible point of ``pts`` for each objective (None if there is
-    none), sweeping ``n_slabs`` slabs along the first load; one slab is a plain
-    flat-start sweep.  A slab without history starts each chunk flat, and a slab
+    """First best feasible point of ``problem``'s grid for each objective (None
+    if there is none), sweeping ``n_slabs`` slabs along the first load; one slab
+    is a plain flat-start sweep.  Each chunk's points are made as the sweep
+    reaches it.  A slab without history starts each chunk flat, and a slab
     keeps its states only for a next one."""
     best_val = [-np.inf] * len(objectives)
     best_p: list[np.ndarray | None] = [None] * len(objectives)
     history: list[tuple] = []
-    for k, slab in enumerate(pts.reshape(n_slabs, -1, pts.shape[1])):
+    size = (steps if problem.tie else steps ** problem.n_loads) // n_slabs
+    for k in range(n_slabs):
         v0, t0, warm = _slab_start(history) if history else (None,) * 3
         states = []  # (converged, v, theta) of each chunk
-        for lo in range(0, len(slab), ORACLE_CHUNK):
+        for lo in range(0, size, ORACLE_CHUNK):
             part = slice(lo, lo + ORACLE_CHUNK)
-            block = slab[part]
+            block = _grid_block(problem, steps, k * size + lo, k * size + min(lo + ORACLE_CHUNK, size))
             res = _solve_batch(nf, block, start=None if warm is None else (v0[part], t0[part]))
             retry = [] if warm is None else np.flatnonzero(~res.converged & warm[part])
             if len(retry):
@@ -427,7 +428,8 @@ def brute_force_oracle_batch(problems: list[HCProblem],
     """Grid-search several policies on one feeder.
 
     Policies whose search boxes coincide (e.g. utilitarian and bargaining)
-    share the power-flow feasibility sweep, which dominates the runtime.
+    share the power-flow feasibility sweep, which dominates the runtime.  The
+    grid is never held whole: each chunk is made as the sweep reaches it.
 
     The sweep is a continuation along the first load.  The grid splits into
     slabs, each holding every point with one value of that load; slab ``k``
@@ -461,18 +463,18 @@ def brute_force_oracle_batch(problems: list[HCProblem],
     out: list[HCSolution | None] = [None] * len(problems)
     for members in groups.values():
         first = problems[members[0]]
-        pts = _grid_points(first, grid_steps)
+        n_points = grid_steps if first.tie else grid_steps ** first.n_loads
         objectives = [problems[j].objective for j in members]
         n_slabs = 1 if first.tie or first.n_loads == 1 else grid_steps
-        best = _sweep(nf, objectives, pts, n_slabs)
+        best = _sweep(nf, objectives, first, grid_steps, n_slabs)
         checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
         if n_slabs > 1 and not all(_feasible(c) for c in checks):
             # a predicted start converged where a flat start does not: sweep
             # the group again from flat starts only
-            best = _sweep(nf, objectives, pts, 1)
+            best = _sweep(nf, objectives, first, grid_steps, 1)
             checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
         for j, p, c_net in zip(members, best, checks):
             if p is None:
                 raise Infeasible("no feasible grid point")
-            out[j] = _make_solution(nf, p, problems[j].policy, "optimal", c_net, (0, len(pts)))
+            out[j] = _make_solution(nf, p, problems[j].policy, "optimal", c_net, (0, n_points))
     return out  # type: ignore[return-value]

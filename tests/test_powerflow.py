@@ -28,7 +28,7 @@ from fairhc.powerflow import (
     residual_min_batch,
     solve_power_flow,
 )
-from fairhc.solver import _grid_points, _slab_start, brute_force_oracle_batch
+from fairhc.solver import _grid_block, _slab_start, brute_force_oracle_batch
 from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import mk, make_two_bus
@@ -356,7 +356,8 @@ def large_batch_path(nf, dg, start):
     res = _solve_batch(nf, np.repeat(dg, k, axis=0), start=tuple(np.repeat(a, k, axis=0) for a in start))
     out = [*res, residual_min_batch(nf, res)]
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)
-    slabs = _grid_points(build_problem(nf, FairnessPolicy.utilitarian()), 101).reshape(101, -1, 3)
+    prob = build_problem(nf, FairnessPolicy.utilitarian())
+    slabs = [_grid_block(prob, 101, k * 101**2, (k + 1) * 101**2) for k in range(2)]
     flat = _solve_batch(nf, slabs[0])
     v, theta, _ = _slab_start([(flat.converged, flat.v, flat.theta)])
     warm = _solve_batch(nf, slabs[1], start=(v, theta))
@@ -580,7 +581,7 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
     monkeypatch.setattr(powerflow, "_tree_solve", tree)
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder
     m, L = len(nf.plan.ns), nf.n_line
-    _solve_batch(nf, _grid_points(build_problem(nf, FairnessPolicy.utilitarian()), 101)[:101**2])
+    _solve_batch(nf, _grid_block(build_problem(nf, FairnessPolicy.utilitarian()), 101, 0, 101**2))
     assert seen and seen[0][0][-1] == 101**2
     for d_shape, F_shape, contiguous, shared in seen:
         B = F_shape[-1]

@@ -12,7 +12,7 @@ from fairhc.solver import (
     FEAS_TOL,
     ORACLE_CHUNK,
     HCSolution,
-    _grid_points,
+    _grid_block,
     _sweep,
     brute_force_oracle,
     brute_force_oracle_batch,
@@ -291,6 +291,12 @@ class TestBruteForceOracle:
             solo = brute_force_oracle(prob, grid_steps=101)
             assert got.allocation == pytest.approx(solo.allocation, rel=0, abs=0)
 
+    @pytest.mark.parametrize("policy, points", [(FairnessPolicy.utilitarian(), 11**3),
+                                                (FairnessPolicy.egalitarian(), 11)])  # tied: one line
+    def test_reports_its_point_count(self, br4, policy, points):
+        sol = brute_force_oracle(build_problem(br4, policy), grid_steps=11)
+        assert sol.iterations == (0, points)
+
     def test_batch_requires_shared_feeder(self, lin3, star3):
         probs = [build_problem(lin3, FairnessPolicy.utilitarian()),
                  build_problem(star3, FairnessPolicy.utilitarian())]
@@ -375,7 +381,7 @@ class TestContinuationSweep:
 
 
 class TestGridMemory:
-    """The oracle's grid is built once, in place, and solved in ``ORACLE_CHUNK``-point batches."""
+    """The oracle makes its grid chunk by chunk and solves it in ``ORACLE_CHUNK``-point batches."""
 
     @pytest.mark.parametrize("make", [make_two_bus, make_lin3, make_br4])
     @pytest.mark.parametrize("policy", [FairnessPolicy.utilitarian(), FairnessPolicy.egalitarian()])
@@ -391,8 +397,12 @@ class TestGridMemory:
         else:
             mesh = np.meshgrid(*(np.linspace(lo, hi, steps) for lo, hi in zip(lower, upper)), indexing="ij")
             want = np.stack([a.ravel() for a in mesh], axis=1)
-        got = _grid_points(prob, steps)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        slab = len(want) if prob.tie else steps ** (n - 1)
+        ranges = [(0, len(want)), (max(slab - 2, 0), min(2 * slab + 1, len(want)))]  # the second crosses a slab
+        ranges += np.sort(np.random.default_rng(len(want)).integers(0, len(want) + 1, (8, 2)), axis=1).tolist()
+        for lo, hi in ranges:
+            got = _grid_block(prob, steps, lo, hi)
+            assert got.shape == want[lo:hi].shape and got.tobytes() == want[lo:hi].tobytes()
 
     @pytest.fixture(scope="class")
     def oracle_grid(self):
@@ -412,25 +422,27 @@ class TestGridMemory:
         finally:
             tracemalloc.stop()
 
-    def test_grid_is_held_once(self, oracle_grid):
-        pts, peak = self.traced_peak(_grid_points, oracle_grid[0], 101)
-        assert pts.shape == (101**3, 3)
-        assert peak <= 1.01 * pts.nbytes  # stacking meshgrid copies peaked at 2.0x
+    def test_a_block_holds_no_grid(self, oracle_grid):
+        # the last chunk of a 1001-step grid (about 1e9 points, 24 GB as one array): 3.4x the
+        # block's bytes were measured, for its index and column temporaries
+        hi = 1001**3
+        block, peak = self.traced_peak(_grid_block, oracle_grid[0], 1001, hi - ORACLE_CHUNK, hi)
+        assert block.shape == (ORACLE_CHUNK, 3) and block[-1].tolist() == oracle_grid[0].upper.tolist()
+        assert peak <= 8 * block.nbytes
 
     def test_oracle_working_set_scales_with_the_chunk(self, oracle_grid):
-        # measured beyond the grid: 4.7 MB of slab arrays plus 3.4 kB per batch point, so
-        # 11.7 MB for 2,048-point batches and 39.7 MB for whole 10,201-point slabs
-        grid = 101**3 * 3 * 8
+        # the whole call, with no grid-sized term: 11.2 MB was measured with 2,048-point
+        # batches (4.7 MB of slab arrays plus 3.4 kB per batch point); a whole-grid array
+        # alone took 24.7 MB, and the call with it peaked at 35.9 MB
         sols, peak = self.traced_peak(brute_force_oracle_batch, oracle_grid, grid_steps=101)
         assert [s.hc_total for s in sols] == pytest.approx([75.0, 64.2])
-        assert peak - grid <= 9e6 + 2e3 * min(ORACLE_CHUNK, 101**2)
+        assert peak <= 9e6 + 2e3 * min(ORACLE_CHUNK, 101**2)
 
     def test_one_slab_sweep_holds_no_whole_grid_state(self, oracle_grid):
         # a flat sweep of the whole grid in one slab, as the fallback re-sweep runs it: each
-        # chunk starts flat and no state is kept, so the working set beyond the grid stays
-        # within the chunk bound above (whole-grid start and state arrays took 37 MB here)
+        # chunk starts flat and no state is kept, so the working set stays within the chunk
+        # bound above (whole-grid start and state arrays took 37 MB here)
         nf, objectives = oracle_grid[0].feeder, [p.objective for p in oracle_grid]
-        pts = _grid_points(oracle_grid[0], 51)
-        best, peak = self.traced_peak(_sweep, nf, objectives, pts, 1)
-        assert peak <= 9e6 + 2e3 * min(ORACLE_CHUNK, len(pts))
-        assert all(np.array_equal(a, b) for a, b in zip(best, _sweep(nf, objectives, pts, 51)))
+        best, peak = self.traced_peak(_sweep, nf, objectives, oracle_grid[0], 51, 1)
+        assert peak <= 9e6 + 2e3 * min(ORACLE_CHUNK, 51**3)
+        assert all(np.array_equal(a, b) for a, b in zip(best, _sweep(nf, objectives, oracle_grid[0], 51, 51)))
