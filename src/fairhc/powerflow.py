@@ -3,24 +3,27 @@ residuals and adjoint sensitivities of those residuals w.r.t. DG injections.
 
 Each feeder compiles once into a :class:`FeederPlan` (cached as ``nf.plan``):
 every line appears as two oriented flows, one measured at each end, and the
-plan's index arrays scatter those flows into the nodal sums and the Jacobian.
-A Newton step takes cos/sin once per line; the mismatch and the flow partials
-both read the terms built from them, and the Jacobian is built by scattering
-its structural nonzeros into zeros.  The adjoint shares the partials and the
-Jacobian builder.  The Newton core is batched, bus before batch: B injection
-vectors are solved together as states (n, B), flows (2, 2L, B) and partials
-(2, 2, 2, 2L, B), so gathers select rows and the nodal sums are
-``plan.inc.T @ flows``.  Points drop out of the batch as they finish.  A step
-solves by :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's
-leaf-first order reading them straight from the flow partials, or by LAPACK on
-the dense Jacobian.  :func:`_solve_batch` picks the way once per call, from the
-number of points it is given.  A call of two or more points eliminates over (B,)
-rows at every step (:func:`_tree_solve`).  A point's results then hold the same
-bits whatever its batchmates, except through the steps it takes alone, as far as
-NumPy's matmul sums two or more columns alike (measured, not promised).  A
-one-point call goes through :func:`_solve_steps`, which eliminates in Python
-floats on a feeder of ``TREE_MIN_BUSES`` buses or more and otherwise solves by
-LAPACK.  The adjoint's transposed solve is one point and takes the same choice.
+plan's index arrays scatter those flows into the nodal sums.  A Newton step
+takes cos/sin once per line; the mismatch and the flow partials both read the
+terms built from them, and the adjoint shares the partials.  Every linear solve
+is :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's leaf-first
+order, reading the diagonal blocks as per-bus sums of the partials and the
+off-diagonal ones straight from them; no Jacobian is ever assembled.
+
+The Newton core is batched, bus before batch: B injection vectors are solved
+together as states (n, B), flows (2, 2L, B) and partials (2, 2, 2, 2L, B), so
+gathers select rows and the nodal sums are ``plan.inc.T @ flows``.  Points drop
+out of the batch as they finish.  :func:`_solve_batch` picks the way once per
+call, from the number of points and buses.  A call of two or more points
+eliminates over (B,) rows at every step (:func:`_tree_solve`).  A point's
+results then hold the same bits whatever its batchmates, except through the
+steps it takes alone, as far as NumPy's matmul sums two or more columns alike
+(measured, not promised).  A one-point call on a feeder below
+``TREE_MIN_BUSES`` buses runs whole in Python floats (:func:`_solve_point`):
+flows, mismatch, partials, elimination and update, from per-line constants in
+the plan, with no NumPy call in the loop.  From ``TREE_MIN_BUSES`` buses the
+NumPy partials win, and a one-point step eliminates them in floats
+(:func:`_chain_step`).  The adjoint's transposed solve takes the same choice.
 The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
@@ -29,6 +32,7 @@ The public single-shot API wraps batch size 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,9 +44,13 @@ from .netmodel import NormalizedFeeder
 PF_TOL = 1e-8
 PF_MAX_ITER = 50
 _V_FLOOR = 1e-6  # below this a point is declared diverged
-# Buses from which a one-point Newton step, and the adjoint, solve in Python floats
-# instead of by LAPACK.  Measured crossover, 2-core Xeon, one BLAS thread: 36-41 buses
-# for a power flow and 47-51 for the adjoint.
+# Buses from which a one-point Newton step, and the adjoint, build their flows and
+# partials in NumPy rather than in Python floats.  Measured crossover for a power flow
+# plus its adjoint, synthetic feeders, 2-core Xeon, one BLAS thread: 41-46 buses at two
+# Newton steps per flow, 45-53 at four.  Below it the adjoint keeps its own float
+# right-hand side (:func:`_adjoint_point`): through :func:`_chain_step` an adjoint took
+# 77-97 us against 37-60 us at 6-11 buses, and the benchmark's policy_mix and
+# frontier_cli ran 14-16 % longer end to end.
 TREE_MIN_BUSES = 48
 
 
@@ -120,36 +128,22 @@ class FeederPlan(NamedTuple):
     rev: np.ndarray  # (2L,) the same line measured at the other end, (k + L) % 2L
     g: np.ndarray  # (2, 2L, 1) the conductance in P's row, -b in Q's
     inc: np.ndarray  # (2L, n) 0/1; ``inc.T @ flows`` sums the flows into their measuring bus
-    inc_ns: np.ndarray  # (2L, m) the non-slack columns of ``inc``
-    off: np.ndarray  # (K,) oriented flows with both ends non-slack
-    jac_pos: np.ndarray  # (2, 2, m + K) flat Jacobian position of each value :func:`_jacobian` scatters
     chain: list  # :func:`_eliminate`'s order, four lists of Python ints: the non-slack buses stably
     # sorted by height, so each comes after its children and a parent's children keep breadth-first
     # order; each one's parent; the flow measured at it towards its parent; that flow's reverse
+    lines: list  # per line (from, to, g, -b, 2g, -2b) as Python ints and floats, for :func:`_point_terms`
 
 
 def build_plan(nf: NormalizedFeeder) -> FeederPlan:
-    """Plan of ``nf``; read it through the cached ``nf.plan``.
-
-    Assumes a tree: no two lines join the same pair of buses, so each
-    off-diagonal Jacobian entry comes from exactly one oriented flow.
-    """
+    """Plan of ``nf``; read it through the cached ``nf.plan``.  Assumes a tree."""
     n, L = nf.n_bus, nf.n_line
     ns = np.flatnonzero(np.arange(n) != nf.slack)
-    m = len(ns)
     pos = np.full(n, -1)
-    pos[ns] = np.arange(m)
+    pos[ns] = np.arange(len(ns))
     at = np.concatenate([nf.from_bus, nf.to_bus])
     other = np.concatenate([nf.to_bus, nf.from_bus])
     inc = np.zeros((2 * L, n))
     inc[np.arange(2 * L), at] = 1.0
-    off = np.flatnonzero((pos[at] >= 0) & (pos[other] >= 0))
-    # _jacobian's values per (theta/V column block, P/Q row block): the diagonal
-    # (per-bus sums), then one entry per flow in `off`
-    rows = np.concatenate([np.arange(m), pos[at[off]]])
-    cols = np.concatenate([np.arange(m), pos[other[off]]])
-    blk = np.array([0, m])
-    jac_pos = (blk[None, :, None] + rows) * (2 * m) + blk[:, None, None] + cols
     rev = (np.arange(2 * L) + L) % (2 * L)
     # breadth first from the slack: the flow measured at each bus towards its parent
     up, order = np.full(n, -1), [nf.slack]
@@ -165,7 +159,8 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     kids = np.array(sorted(order[1:], key=height.__getitem__), dtype=int)  # stable: BFS order breaks ties
     chain = [a.tolist() for a in (kids, parent[kids], up[kids], rev[up[kids]])]
     g = np.tile([nf.g, -nf.b], 2)[..., None]
-    return FeederPlan(ns, pos, at, other, rev, g, inc, inc[:, ns], off, jac_pos, chain)
+    lines = list(zip(*(a.tolist() for a in (nf.from_bus, nf.to_bus, nf.g, -nf.b, 2.0 * nf.g, -2.0 * nf.b))))
+    return FeederPlan(ns, pos, at, other, rev, g, inc, chain, lines)
 
 
 def _ends(plan: FeederPlan, v, theta):
@@ -206,14 +201,45 @@ def _flow_partials(plan: FeederPlan, ends):
     return d
 
 
-def _jacobian(plan: FeederPlan, d):
-    """Dense (B, 2m, 2m) Jacobian of the non-slack mismatch equations from the flow partials of B states."""
-    m = len(plan.ns)
-    J = np.zeros((d.shape[-1], 2 * m, 2 * m))
-    flat = J.reshape(len(J), -1)
-    flat[:, plan.jac_pos[..., :m]] = (plan.inc_ns.T @ d[0]).transpose(3, 0, 1, 2)  # measuring ends, summed per bus
-    flat[:, plan.jac_pos[..., m:]] = d[1][..., plan.off, :].transpose(3, 0, 1, 2)  # far ends, one per entry
-    return J
+def _point_terms(plan: FeederPlan, v: list, th: list):
+    """Flows, flow partials and their nodal sums for one point in Python floats, from per-bus
+    lists ``v`` and ``th``, by the expressions of :func:`_flows` and :func:`_flow_partials`.
+
+    Returns ``(p, q, own, far, P, Q, diag)``: per oriented flow its P and Q and its partials
+    w.r.t. its measuring end and its far end as row-major 2x2 blocks, as :func:`_eliminate`
+    reads them; then per bus the summed P, Q and measuring-end blocks.  The sums run in
+    oriented-flow order, the order in which the batch's matmul was measured to add them.
+    ``math.cos`` raises ValueError at an infinite angle.
+    """
+    cos, sin = math.cos, math.sin
+    p, q, own, far = [], [], [], []
+    pr, qr, own_r, far_r = [], [], [], []  # the reverse flows, appended after the forward ones
+    for f, t, g, nb, g2, nb2 in plan.lines:
+        vf, vt = v[f], v[t]
+        x = th[f] - th[t]
+        c, s = cos(x), sin(x)
+        gc, nbs, gs, nbc = g * c, nb * s, g * s, nb * c
+        u0, u1, w0, w1 = gc - nbs, gs + nbc, gc + nbs, nbc - gs  # U of the forward flow, then the reverse
+        vv = vf * vt
+        a0, a1, b0, b1 = vv * u0, vv * u1, vv * w0, vv * w1
+        p.append(g * (vf * vf) - a0)
+        q.append(nb * (vf * vf) - a1)
+        own.append((a1, g2 * vf - vt * u0, -a0, nb2 * vf - vt * u1))
+        far.append((-a1, -(vf * u0), a0, -(vf * u1)))
+        pr.append(g * (vt * vt) - b0)
+        qr.append(nb * (vt * vt) - b1)
+        own_r.append((b1, g2 * vt - vf * w0, -b0, nb2 * vt - vf * w1))
+        far_r.append((-b1, -(vt * w0), b0, -(vt * w1)))
+    p, q, own, far = p + pr, q + qr, own + own_r, far + far_r
+    P, Q, D0, D1, D2, D3 = ([0.0] * len(v) for _ in range(6))
+    for k, pk, qk, (o0, o1, o2, o3) in zip(plan.at.tolist(), p, q, own):
+        P[k] += pk
+        Q[k] += qk
+        D0[k] += o0
+        D1[k] += o1
+        D2[k] += o2
+        D3[k] += o3
+    return p, q, own, far, P, Q, list(zip(D0, D1, D2, D3))
 
 
 def _eliminate(chain, diag, far, rhs, transpose=False):
@@ -277,35 +303,21 @@ def _tree_solve(plan: FeederPlan, d, F):
 
 
 def _chain_step(plan: FeederPlan, d, F, transpose=False):
-    """The step (2m, 1) solving ``J dx = -F``, or ``J.T dx = -F``, at one point by :func:`_eliminate`
-    in Python floats; None where the system is singular."""
+    """``(dx, singular)`` at one point: the step ``dx`` (2m, 1) solving ``J dx = -F``, or
+    ``J.T dx = -F``, by :func:`_eliminate` in Python floats from NumPy partials, and whether
+    the system is singular; a singular one gets ``dx = 0``."""
     n, m = len(plan.pos), len(plan.ns)
-    # entry first (theta/V column, P/Q row) to row-major blocks
-    diag, far = (a[..., 0].transpose(2, 1, 0).reshape(-1, 4).tolist() for a in (plan.inc.T @ d[0], d[1]))
+    # per-bus sums of the measuring-end partials, in flow order, then entry first (theta/V
+    # column, P/Q row) to row-major blocks
+    sums = np.stack([np.bincount(plan.at, x, n) for x in d[0, ..., 0].reshape(4, -1)])
+    diag = sums.reshape(2, 2, n).transpose(2, 1, 0).reshape(-1, 4).tolist()
+    far = d[1, ..., 0].transpose(2, 1, 0).reshape(-1, 4).tolist()
     rhs = np.zeros((2, n))
     rhs[:, plan.ns] = -F.reshape(2, m)
     x = _eliminate(plan.chain, diag, far, rhs.tolist(), transpose)
-    return None if x is None else np.array(x)[:, plan.ns].reshape(2 * m, 1)
-
-
-def _solve_steps(plan: FeederPlan, d, F, transpose=False):
-    """``(dx, singular)`` at one point: the step ``dx`` (2m, 1) solving ``J dx = -F``, or
-    ``J.T dx = -F``, and whether the system is singular; a singular one gets ``dx = 0``.
-
-    By :func:`_chain_step` on a feeder of ``TREE_MIN_BUSES`` buses or more, else by LAPACK on
-    the dense Jacobian, whose LU raises exactly where it meets a zero pivot.
-    """
-    if len(plan.pos) >= TREE_MIN_BUSES:
-        dx = _chain_step(plan, d, F, transpose)
-    else:
-        J = _jacobian(plan, d)[0]
-        try:
-            dx = np.linalg.solve(J.T if transpose else J, -F)
-        except np.linalg.LinAlgError:
-            dx = None
-    if dx is None:
+    if x is None:
         return np.zeros_like(F), np.ones(1, dtype=bool)
-    return dx, np.zeros(1, dtype=bool)
+    return np.array(x)[:, plan.ns].reshape(2 * m, 1), np.zeros(1, dtype=bool)
 
 
 class _BatchResult(NamedTuple):
@@ -330,7 +342,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
                  start: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchResult:
     """Newton from ``start = (v, theta)``, each ``(B, n)`` with the slack at 1
     and 0, or from a flat start.  Two or more points step by :func:`_tree_solve`
-    to the end, one point by :func:`_solve_steps`.
+    to the end, one point by :func:`_solve_point` below ``TREE_MIN_BUSES`` buses
+    and by :func:`_chain_step` from it.
 
     ``iterations`` holds the step at which each point converged, diverged,
     turned singular or hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
@@ -338,6 +351,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     plan = nf.plan
     ns = plan.ns
     B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
+    if B == 1 and n < TREE_MIN_BUSES:
+        return _solve_point(nf, dg[0], tol, start)
     inj = np.zeros((2, n, B))
     inj[0, nf.load_bus] = (dg - nf.p_demand).T
     inj[1, nf.load_bus] -= nf.q_demand[:, None]
@@ -348,7 +363,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
         va, ta = (np.array(np.transpose(a), dtype=float, order="C") for a in start)
     v, theta = np.empty((2, n, B))
     pq = np.empty((2, 2 * L, B))
-    step = _tree_solve if B > 1 else _solve_steps
+    step = _tree_solve if B > 1 else _chain_step
     converged, singular = np.zeros((2, B), dtype=bool)
     iterations = np.zeros(B, dtype=int)
     mismatch = np.full(B, np.inf)
@@ -388,6 +403,52 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
         v.T, theta.T, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
         p_slack, q_slack, iterations, mismatch, converged, singular,
     )
+
+
+def _solve_point(nf: NormalizedFeeder, dg: np.ndarray, tol: float, start) -> _BatchResult:
+    """:func:`_solve_batch` for one point, every step in Python floats: the flows, the mismatch,
+    the partials, :func:`_eliminate` and the state update.  It stops where the batch would and
+    reports the same fields, except that a step whose angle turned infinite leaves as diverged
+    with NaN flows and slack sums: no caller uses the flows of a point that did not converge."""
+    plan = nf.plan
+    n, kids, slack = nf.n_bus, plan.chain[0], nf.slack
+    ip, iq = [0.0] * n, [0.0] * n
+    for bus, pg, pd, qd in zip(nf.load_bus.tolist(), dg.tolist(), nf.p_demand.tolist(), nf.q_demand.tolist()):
+        ip[bus], iq[bus] = pg - pd, 0.0 - qd
+    v, th = ([1.0] * n, [0.0] * n) if start is None else (np.asarray(a, dtype=float)[0].tolist() for a in start)
+    last, singular, converged = math.inf, False, False
+    for it in range(PF_MAX_ITER + 1):
+        try:
+            p, q, _, far, P, Q, diag = _point_terms(plan, v, th)
+        except ValueError:  # cos of an infinite angle, where NumPy's mismatch is NaN
+            p = q = [math.nan] * (2 * nf.n_line)
+            P = Q = [math.nan] * n
+            break
+        r0 = [a - b for a, b in zip(ip, P)]  # -F; the slack's rows are not equations
+        r1 = [a - b for a, b in zip(iq, Q)]
+        r0[slack] = r1[slack] = 0.0
+        size = list(map(abs, r0 + r1))
+        mis, total = max(size), sum(size)
+        if not (mis < math.inf and total == total):  # an inf or a NaN; max may skip a NaN
+            break
+        last = mis
+        if min(map(v.__getitem__, kids), default=1.0) < _V_FLOOR:
+            break
+        converged = mis < tol
+        if converged or it == PF_MAX_ITER:
+            break
+        x = _eliminate(plan.chain, diag, far, [r0, r1])
+        if x is None:
+            singular = True
+            break
+        z0, z1 = x
+        for k in kids:
+            th[k] += z0[k]
+            v[k] += z1[k]
+    L, pq, state = nf.n_line, np.array([p, q]), np.array([v, th])
+    p_slack, q_slack, mismatch = np.array([[P[slack]], [Q[slack]], [last]])
+    return _BatchResult(state[:1], state[1:], pq[:1, :L], pq[1:, :L], pq[:1, L:], pq[1:, L:], p_slack, q_slack,
+                        np.array([it]), mismatch, np.array([converged]), np.array([singular]))
 
 
 def solve_power_flow(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL) -> PowerFlowState:
@@ -479,14 +540,39 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     at_slack = plan.at == nf.slack
     c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
     c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
+    angle = w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
+    if n < TREE_MIN_BUSES:
+        lam = _adjoint_point(nf, state, c_p, c_q, angle, w_vl - w_vu)
+        if lam is None:
+            raise SingularJacobian("adjoint system is singular")
+        return np.array(lam)[nf.load_bus]
     d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
     dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
     # the far end of flow k is the measuring end of its reverse
     per_flow = dw[0] + dw[1].take(plan.rev, axis=1)
-    per_flow[0] += w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
+    per_flow[0] += angle
     rhs = per_flow @ plan.inc
     rhs[1] += w_vl - w_vu
-    lam, singular = _solve_steps(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), transpose=True)
+    lam, singular = _chain_step(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), transpose=True)
     if singular[0]:
         raise SingularJacobian("adjoint system is singular")
     return lam.take(plan.pos.take(nf.load_bus))  # lam is one column
+
+
+def _adjoint_point(nf: NormalizedFeeder, state: PowerFlowState, c_p, c_q, angle, v_rhs):
+    """The P entries, per bus, of the adjoint solution of :func:`adjoint_gradient` in Python floats
+    (the slack's is 0), or None where ``J.T`` is singular.  The right-hand side is the gradient of
+    the weighted residuals w.r.t. the state: each flow's weighted partials land on both its ends,
+    and the far end's theta partials are the measuring end's negated."""
+    plan = nf.plan
+    _, _, own, far, _, _, diag = _point_terms(plan, state.v.tolist(), state.theta.tolist())
+    R0, R1 = [0.0] * nf.n_bus, v_rhs.tolist()
+    for a, o, (o0, o1, o2, o3), (_, f1, _, f3), cp, cq, ang in zip(
+            plan.at.tolist(), plan.other.tolist(), own, far, c_p.tolist(), c_q.tolist(), angle.tolist()):
+        t0 = cp * o0 + cq * o2
+        R0[a] += t0 + ang
+        R1[a] += cp * o1 + cq * o3
+        R0[o] -= t0
+        R1[o] += cp * f1 + cq * f3
+    x = _eliminate(plan.chain, diag, far, [R0, R1], transpose=True)
+    return None if x is None else x[0]

@@ -18,7 +18,7 @@ from fairhc.powerflow import (
     _eliminate,
     _ends,
     _flow_partials,
-    _jacobian,
+    _point_terms,
     _residual_blocks,
     _solve_batch,
     _tree_solve,
@@ -217,17 +217,43 @@ def loop_jacobian(nf, v, theta):
     return J
 
 
+def blocks_jacobian(plan, diag, far):
+    """Dense Jacobian from row-major 2x2 blocks: ``diag`` one per bus, ``far`` one per
+    oriented flow, in the (P, Q) x (theta, V) layout that :func:`_eliminate` reads."""
+    m = len(plan.ns)
+    J = np.zeros((2 * m, 2 * m))
+    rows = [(bus, bus, blk) for bus, blk in enumerate(diag)]
+    rows += [(a, o, blk) for a, o, blk in zip(plan.at.tolist(), plan.other.tolist(), far)]
+    for r, c, (a, b, cc, d) in rows:
+        i, j = plan.pos[r], plan.pos[c]
+        if i >= 0 and j >= 0:
+            J[[i, i, m + i, m + i], [j, m + j, j, m + j]] += [a, b, cc, d]
+    return J
+
+
+def dense_jacobian(plan, d, b):
+    """Point ``b``'s dense Jacobian from NumPy partials, the diagonal blocks summed per bus."""
+    own, far = (d[e][..., b].transpose(2, 1, 0).reshape(-1, 4) for e in (0, 1))
+    diag = np.zeros((len(plan.pos), 4))
+    np.add.at(diag, plan.at, own)
+    return blocks_jacobian(plan, diag.tolist(), far.tolist())
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_jacobian_matches_line_loop(seed):
+    """The partials, as NumPy builds them for a batch and as the one-point path builds them
+    in floats, assemble to the line-by-line Jacobian."""
     rng = np.random.default_rng(seed)
     nf = random_tree(rng)
     v = rng.uniform(0.9, 1.1, size=(3, nf.n_bus))
     theta = rng.uniform(-0.1, 0.1, size=(3, nf.n_bus))
-    m2 = 2 * len(nf.plan.ns)
-    J = _jacobian(nf.plan, _flow_partials(nf.plan, _ends(nf.plan, v.T, theta.T)))
-    assert J.shape == (3, m2, m2)
+    plan = nf.plan
+    d = _flow_partials(plan, _ends(plan, v.T, theta.T))
     for i in range(3):
-        assert J[i] == pytest.approx(loop_jacobian(nf, v[i], theta[i]), rel=1e-12, abs=1e-12)
+        want = loop_jacobian(nf, v[i], theta[i])
+        assert dense_jacobian(plan, d, i) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        *_, far, _, _, diag = _point_terms(plan, v[i].tolist(), theta[i].tolist())
+        assert blocks_jacobian(plan, diag, far) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -384,16 +410,16 @@ def batch_mix():
 # SHA-256 of the float64 bytes of every ``newton_path`` output; any change to the
 # Newton core's or the adjoint's floating-point path moves them
 NEWTON_PINS = {
-    "tree0": "7ac2ea4777164bd58b92f56c1b1e0234fa8e4c2aa6ac732afc82dd72ee94b6eb",
-    "tree1": "c3497031b46875ead1d49f4f1cf4c9fdf73eee21fcb5d49235536f529f6062f3",
-    "tree2": "e995b8e46c8181efe88b0ff6ad0e0a408d02935dfbb35d833301b1b9980b86db",
-    "tree3": "3315509190b3fe85c650d1bf52bb8b4de3c589b8c30b1b31b606a7ec48b76a6d",
-    "tree4": "9425055aa1a1c3399ba96c34fb4a255de6160082c4e9186c0f76875b0f8f6c80",
-    "tree5": "85ab9c34c117030ae2a763365ae21d444e6b503ddcf19cae303288073495f051",
-    "tree6": "1545d1bf6b70fc5a6e8c316c083ff9778fd11875ae396c745d8cdb004a6dad3b",
-    "tree7": "57e444e10bc681bace47f109cc66050fb4a689cbc0fc29fc3c0313ba8a6b3d26",
-    "tree8": "b78a1249e92ab2e01c20383a32dbc31b405955954fcc32e05ef05a505ab6cabb",
-    "tree9": "62be69577272185a5f38884a301b7f40eb7e037515c10b8a0340159131e139dc",
+    "tree0": "67076d0f03e31547dc39a0c0700510975df4de66fd06b4c86f6f17cc1c78d172",
+    "tree1": "21543181090e317a6276380e02ee9d0dfa84ed487a009a867c9e0c4f97330a1a",
+    "tree2": "2c300ef31ab551acf6bb3f0b2eba52320715d700b92696628865a7b0c9e1a6b5",
+    "tree3": "c4e693b31fa6d3873c4f2d16ae85f57115efb12b0e49ce1e586bc638979ce211",
+    "tree4": "aee1cf3613eda9c544de4ffda637c2b36afa08779408ce12f6d1aaa19a942cd1",
+    "tree5": "7fcddb34061c19de2f0c75ce0d71f15a71cc79604de6e54f88632e35aeb13237",
+    "tree6": "148ae803e7d7bac3e0d7f9a3ea6ddeb013d8756188c5a684d9c1f4d2ef24e796",
+    "tree7": "280fe3ae7c2f7af162de47d90fdcef39db259c3bf43d1aae5f726d837623a67c",
+    "tree8": "8d1af43b56241af427b2d707836992eef2bbbb9792e283feca9a3ee00ad55e76",
+    "tree9": "44326c59b5f3a05950d5fd3c0a2a14ecc3cc0507a066d708b94930e6cf27e6bc",
     "batch": "3c54997db8fbd880d563cb40ddfed968f78a0e74a107891124ea0dd299de24dd",
     "large": "9e00bdef07216ab1f7c6107e86b5e0fa7385517b8f456ee1689d9630e19d7c7d",
 }
@@ -409,8 +435,8 @@ def test_newton_path_pinned(case):
 
 # ---------------------------------------------------------------------------
 # Tree elimination: every step of a call with two or more points takes it.  A
-# one-point call takes the dense path, or the scalar one on large feeders, so each
-# row solved alone is the reference for the same row in a batch.
+# one-point call steps in Python floats, or by the scalar elimination on large
+# feeders, so each row solved alone is a reference for the same row in a batch.
 # ---------------------------------------------------------------------------
 
 def one_point_calls(nf, dg, start=None):
@@ -421,11 +447,11 @@ def one_point_calls(nf, dg, start=None):
 
 
 def lapack_steps(plan, d, F):
-    """:func:`_tree_solve`'s ``(dx, singular)`` by LAPACK: the dense Jacobians of all points built
-    at once, then one 2-D solve per point, whose ``LinAlgError`` marks the point singular.  This
-    is the batched dense step that the row elimination replaced, with the same bits."""
+    """:func:`_tree_solve`'s ``(dx, singular)`` by LAPACK: one 2-D solve per point on its dense
+    Jacobian (``dense_jacobian``), whose ``LinAlgError`` marks the point singular."""
     dx, singular = np.zeros_like(F), np.zeros(F.shape[-1], dtype=bool)
-    for i, J in enumerate(_jacobian(plan, d)):
+    for i in range(F.shape[-1]):
+        J = dense_jacobian(plan, d, i)
         try:
             dx[:, i:i + 1] = np.linalg.solve(J, -F[:, i:i + 1])
         except np.linalg.LinAlgError:
@@ -439,9 +465,8 @@ def assert_tree_matches_dense(nf, dg, start=None):
     point that wanders PF_MAX_ITER steps without a solution grows the two paths'
     rounding difference about 3.5x per step (1e-13 at step 10, 0.1 at step 50 on
     ``batch_mix``'s row 4), so its final state is compared by its flags alone.  The
-    reference shares the batch's nodal sums; each row solved by its own one-point
-    call could not serve, as ``batch_mix``'s row 4 alone diverges at step 45.
-    Returns the batch's results."""
+    reference shares the batch's flows and mismatches and steps by an independent
+    solver.  Returns the batch's results."""
     assert len(dg) >= 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powerflow, "_tree_solve", lapack_steps)
@@ -457,8 +482,8 @@ def assert_tree_matches_dense(nf, dg, start=None):
     return tree
 
 
-def synth_feeder(layout, n_loads, **spec):
-    return to_per_unit(generate_feeder(SynthSpec(n_loads, layout, 200.0,
+def synth_feeder(layout, n_loads, trunk_m=200.0, **spec):
+    return to_per_unit(generate_feeder(SynthSpec(n_loads, layout, trunk_m,
                                                  conductor=Conductor(i_rated_a=500.0), **spec)))
 
 
@@ -530,9 +555,11 @@ def test_batch_results_do_not_depend_on_batchmates(seed):
 
 def test_batch_calls_step_by_the_tree_elimination_and_one_point_calls_never(monkeypatch):
     """Every step of a call with two or more points goes to _tree_solve, down to its
-    last live point, and every step of a one-point call to _solve_steps."""
+    last live point; a one-point call on a feeder below TREE_MIN_BUSES goes whole to
+    _solve_point and takes no NumPy step."""
     calls = []  # per _solve_batch call: its batch size, its points' step counts, its steps
-    real_batch, real_tree, real_steps = powerflow._solve_batch, powerflow._tree_solve, powerflow._solve_steps
+    real_batch, real_tree, real_chain, real_point = (powerflow._solve_batch, powerflow._tree_solve,
+                                                     powerflow._chain_step, powerflow._solve_point)
 
     def batch(nf, dg, *args, **kwargs):
         calls.append([len(dg), None, []])
@@ -546,10 +573,15 @@ def test_batch_calls_step_by_the_tree_elimination_and_one_point_calls_never(monk
             return real(plan, d, F)
         return step
 
+    def point(*args):
+        calls[-1][2].append(("floats", 1))
+        return real_point(*args)
+
     monkeypatch.setattr(powerflow, "_solve_batch", batch)
     monkeypatch.setattr(solver, "_solve_batch", batch)
     monkeypatch.setattr(powerflow, "_tree_solve", spy("tree", real_tree))
-    monkeypatch.setattr(powerflow, "_solve_steps", spy("one", real_steps))
+    monkeypatch.setattr(powerflow, "_chain_step", spy("chain", real_chain))
+    monkeypatch.setattr(powerflow, "_solve_point", point)
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder, 7 buses
     solve_power_flow(nf, np.full(3, 0.2))
     problems = [build_problem(nf, FairnessPolicy.utilitarian()),
@@ -557,9 +589,12 @@ def test_batch_calls_step_by_the_tree_elimination_and_one_point_calls_never(monk
     brute_force_oracle_batch(problems, grid_steps=5)  # 25-point slabs, then the winners alone
     assert calls[0][0] == 1 and {B for B, _, _ in calls} == {1, 25}
     for B, steps_per_point, steps in calls:
+        if B == 1:
+            assert steps == [("floats", 1)]
+            continue
         # a point leaving at step k is live in steps 0..k-1, so step s has this many live points
         live = [int((steps_per_point > s).sum()) for s in range(steps_per_point.max())]
-        assert steps == [("tree" if B > 1 else "one", b) for b in live]
+        assert steps == [("tree", b) for b in live]
     assert any(b < B for B, _, steps in calls if B > 1 for _, b in steps)  # batches shrank on the tree path
 
 
@@ -590,9 +625,106 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# One point below TREE_MIN_BUSES: _solve_point runs the flows, the mismatch, the
+# partials, the elimination and the update in Python floats, and the adjoint too.
+# A row of a batch of two or more points is its reference.
+# ---------------------------------------------------------------------------
+
+BENCH_FEEDERS = {"lin5": ("linear", 5, 250.0), "lin10": ("linear", 10, 500.0), "br5": ("branched", 5, 100.0)}
+
+
+def assert_point_matches_batch_row(nf, dg, start=None, skip=()):
+    """Each row of ``dg`` through a one-point ``_solve_batch``, and ``solve_power_flow`` where it
+    converges from a flat start, against the same row of one batch: equal flags and step counts,
+    floats within 1e-10, every field but those named in ``skip``."""
+    batch = _solve_batch(nf, dg, start=start)
+    for i in range(len(dg)):
+        one = _solve_batch(nf, dg[i:i + 1], start=None if start is None else tuple(a[i:i + 1] for a in start))
+        for name, want, got in zip(batch._fields, batch, one):
+            if name in skip:
+                continue
+            if want.dtype == float:
+                np.testing.assert_allclose(got[0], want[i], rtol=0, atol=1e-10, equal_nan=True, err_msg=name)
+            else:
+                assert got[0] == want[i], name
+        if start is None and batch.converged[i]:
+            state = solve_power_flow(nf, dg[i])
+            assert state.iterations == batch.iterations[i]
+            np.testing.assert_allclose(state.v, batch.v[i], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(state.theta, batch.theta[i], rtol=0, atol=1e-10)
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_float_point_matches_its_batch_row_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng, int(rng.integers(3, TREE_MIN_BUSES)))
+    assert nf.n_bus < TREE_MIN_BUSES
+    dg = rng.uniform(0.0, 2.0, size=(4, nf.n_loads))
+    assert assert_point_matches_batch_row(nf, dg).converged.any()
+
+
+@pytest.mark.parametrize("name", list(BENCH_FEEDERS))
+def test_float_point_matches_its_batch_row_on_the_benchmark_feeders(name):
+    layout, n_loads, trunk = BENCH_FEEDERS[name]
+    nf = synth_feeder(layout, n_loads, trunk)
+    dg = np.random.default_rng(n_loads).uniform(0.0, 30.0, size=(5, n_loads)) / nf.s_base
+    assert assert_point_matches_batch_row(nf, dg).converged.all()
+
+
+def test_float_point_fails_where_its_batch_row_fails():
+    """``batch_mix``'s rows hitting PF_MAX_ITER and diverging at steps 12 and 1, each solved
+    alone, raise NonConvergence with the step and last finite mismatch of their batch row."""
+    nf, dg, start = batch_mix()
+    batch = assert_point_matches_batch_row(nf, dg, start)
+    for i in (4, 5, 6):
+        it, mis = int(batch.iterations[i]), float(batch.mismatch[i])
+        what = f"did not converge in {PF_MAX_ITER} iterations" if i == 4 else f"diverged at iteration {it}"
+        with pytest.raises(NonConvergence, match=what) as exc:
+            solve_power_flow(nf, dg[i])
+        assert exc.value.mismatch == pytest.approx(mis, rel=1e-12)
+        assert f"{mis:.3e} pu" in str(exc.value)
+
+
+def test_float_point_singular_like_its_batch_row():
+    nf = singular_link()
+    res = assert_point_matches_batch_row(nf, np.array([[0.0], [0.1]]))
+    assert res.singular.tolist() == [True, False] and res.iterations[0] == 1
+
+
+@pytest.mark.parametrize("bad", ["theta_inf", "theta_nan", "v_huge", "v_floor"])
+def test_float_point_leaves_a_non_finite_start_like_its_batch_row(bad):
+    """Where NumPy gives NaN or inf without complaint, Python floats may raise (``math.cos``
+    of an infinite angle); the point still leaves as diverged at the step NumPy finds, with the
+    same state and last finite mismatch.  The slack sums are left out: the batch's dense
+    incidence product turns a non-finite flow anywhere into NaN there (0 x inf), while the
+    floats sum the slack's own flows.  At an infinite angle the float point reports NaN flows,
+    which no caller reads, so its flows are left out too."""
+    rng = np.random.default_rng(3)
+    nf = random_tree(rng, 9)
+    dg = rng.uniform(0.0, 1.0, size=(2, nf.n_loads))
+    v, theta = np.ones((2, nf.n_bus)), np.zeros((2, nf.n_bus))
+    bus = int(nf.plan.ns[3])
+    if bad == "theta_inf":
+        theta[:, bus] = np.inf
+    elif bad == "theta_nan":
+        theta[:, bus] = np.nan
+    elif bad == "v_huge":
+        v[:, bus] = 1e200
+    else:
+        v[:, bus] = 1e-7
+    skip = ("p_slack", "q_slack")
+    if bad == "theta_inf":
+        skip += ("p_flow", "q_flow", "p_flow_rev", "q_flow_rev")
+    res = assert_point_matches_batch_row(nf, dg, (v, theta), skip=skip)
+    assert not res.converged.any() and (res.iterations == 0).all()
+
+
+# ---------------------------------------------------------------------------
 # Scalar elimination: a one-point step on a feeder of TREE_MIN_BUSES buses or more
-# runs _eliminate in Python floats, and so does the adjoint.
-# Monkeypatching TREE_MIN_BUSES moves a feeder between that path and the dense one.
+# runs _eliminate in Python floats on NumPy partials, and so does the adjoint.
+# Monkeypatching TREE_MIN_BUSES moves a feeder between that path and the one that
+# runs the whole step in floats.
 # ---------------------------------------------------------------------------
 
 LARGE_FEEDERS = [("linear", 60), ("branched", 30), ("linear", 100), ("branched", 100)]  # 61-201 buses
@@ -601,19 +733,23 @@ LARGE_FEEDERS = [("linear", 60), ("branched", 30), ("linear", 100), ("branched",
 @pytest.mark.parametrize("layout, n_loads", LARGE_FEEDERS)
 @pytest.mark.parametrize("seed", range(3))
 def test_scalar_elimination_matches_dense_on_large_feeders(monkeypatch, layout, n_loads, seed):
-    """A batch of three against its rows solved alone, in floats and by LAPACK: flags and step
-    counts equal on every row, floats within 1e-10 on the converged ones (a diverging row's
-    last state amplifies rounding)."""
+    """A batch of three against its rows solved alone: by the scalar elimination, by LAPACK on
+    the dense Jacobian (``lapack_steps`` in place of ``_chain_step``) and with the whole step in
+    floats.  Flags and step counts equal on every row, floats within 1e-10 on the converged ones
+    (a diverging row's last state amplifies rounding)."""
     nf = synth_feeder(layout, n_loads)
     assert nf.n_bus >= TREE_MIN_BUSES
     dg = np.random.default_rng(seed).uniform(0.0, 20.0, size=(3, n_loads)) / nf.s_base
     dg[2] *= 500.0
     tree = _solve_batch(nf, dg)
     chain = one_point_calls(nf, dg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "_chain_step", lapack_steps)
+        dense = one_point_calls(nf, dg)
     monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", nf.n_bus + 1)
-    dense = one_point_calls(nf, dg)
+    floats = one_point_calls(nf, dg)
     assert dense.converged.tolist() == [True, True, False] and dense.iterations[2] < PF_MAX_ITER
-    for name, want, *got in zip(dense._fields, dense, chain, tree):
+    for name, want, *got in zip(dense._fields, dense, chain, tree, floats):
         for g in got:
             if want.dtype == float:
                 np.testing.assert_allclose(g[:2], want[:2], rtol=0, atol=1e-10, err_msg=name)
@@ -766,8 +902,9 @@ def test_plan_chain_puts_each_bus_after_its_children(seed, n):
 def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
     nf, rng = elimination_case(case)
     plan, n, m = nf.plan, nf.n_bus, len(nf.plan.ns)
-    d, F = tree_case(nf, rng, B=1)
-    J = _jacobian(plan, d)[0]
+    v, theta = rng.uniform(0.9, 1.1, size=(n, 1)), rng.uniform(-0.1, 0.1, size=(n, 1))
+    d, F = _flow_partials(plan, _ends(plan, v, theta)), rng.normal(size=(2 * m, 1))
+    J = loop_jacobian(nf, v[:, 0], theta[:, 0])
     rhs = np.zeros((2, n))
     rhs[:, plan.ns] = F[:, 0].reshape(2, m)
     diag = (plan.inc.T @ d[0]).transpose(2, 1, 0, 3).reshape(n, 4).tolist()
@@ -788,24 +925,25 @@ def test_singular_cases_through_the_scalar_elimination(monkeypatch, test):
     test()
 
 
-def test_large_feeders_never_build_a_dense_jacobian(monkeypatch):
+def test_one_point_solves_never_call_lapack(monkeypatch):
+    """A one-point power flow and adjoint step in Python floats at 7 buses and by the
+    scalar elimination at 201: neither calls ``np.linalg.solve``."""
     calls = []
-    real = powerflow._jacobian
+    real = np.linalg.solve
 
-    def spy(plan, d):
-        calls.append(len(plan.pos))
-        return real(plan, d)
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(powerflow, "_jacobian", spy)
-    nf = synth_feeder("branched", 100)
-    assert nf.n_bus == 201
-    dg = np.full(nf.n_loads, 10.0) / nf.s_base
-    state = solve_power_flow(nf, dg)
-    adjoint_gradient(nf, dg, np.ones(len(residual_labels(nf))), state=state)
-    assert calls == []
-    small = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder, 7 buses
-    solve_power_flow(small, np.full(3, 0.2))
-    assert calls and set(calls) == {7}
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    small, large = synth_feeder("branched", 3, dg_cap_kw=60.0), synth_feeder("branched", 100)
+    assert small.n_bus == 7 < TREE_MIN_BUSES <= large.n_bus == 201
+    for nf, kw in ((small, 20.0), (large, 10.0)):
+        dg = np.full(nf.n_loads, kw) / nf.s_base
+        state = solve_power_flow(nf, dg)
+        adjoint_gradient(nf, dg, np.ones(len(residual_labels(nf))), state=state)
+    np.linalg.solve(np.eye(2), np.ones(2))  # the spy sees a direct call
+    assert calls == [(2, 2)]
 
 
 class TestAdjointGradient:
@@ -863,6 +1001,24 @@ class TestAdjointGradient:
     def test_matches_central_differences_by_scalar_elimination(self, monkeypatch, make, seed):
         monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", 1)
         self.test_matches_central_differences(make, seed)
+
+    @pytest.mark.parametrize("n", [TREE_MIN_BUSES - 1, TREE_MIN_BUSES])
+    def test_matches_central_differences_at_the_threshold(self, n):
+        """Criterion 10's rule on random trees either side of TREE_MIN_BUSES: the whole adjoint
+        in floats below it, the scalar elimination on NumPy partials from it."""
+        self.test_matches_central_differences(lambda rng: random_tree(rng, n), n)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float_adjoint_matches_the_scalar_elimination(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        nf = random_tree(rng, int(rng.integers(3, TREE_MIN_BUSES)))
+        dg = rng.uniform(0.0, 1.0, size=nf.n_loads)
+        state = solve_power_flow(nf, dg)
+        w = rng.normal(size=len(residual_labels(nf)))
+        g = adjoint_gradient(nf, dg, w, state=state)
+        monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", 1)
+        want = adjoint_gradient(nf, dg, w, state=state)
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("layout, n_loads", [("linear", 100), ("branched", 100)])
     def test_large_feeder_matches_central_differences(self, layout, n_loads):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from fairhc import solver
 from fairhc.errors import Infeasible, TooManyLoads
-from fairhc.formulation import FairnessPolicy, HCProblem, build_problem
+from fairhc.formulation import FairnessPolicy, HCProblem, References, build_problem
 from fairhc.netmodel import parse_feeder, serialize_feeder, to_per_unit
+from fairhc.pareto import sweep
 from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
 from fairhc.solver import (
     FEAS_TOL,
@@ -141,11 +143,11 @@ class TestAugmentedLagrangian:
 # (outer, inner) iterations and allocation (float.hex, kW) of the augmented
 # Lagrangian; any change to its floating-point path moves them
 AL_PINS = {
-    ("lin3", "utilitarian"): ((24, 70), ["0x1.27c7f127e733dp+0", "0x0.0p+0"]),
-    ("lin3", "bargaining"): ((150, 468), ["0x1.9a1d0ccccccccp-2"] * 2),
-    ("br4", "utilitarian"): ((27, 103), ["0x1.3333333333333p+0", "0x1.f21cf4a7722edp-9",
-                                         "0x1.f21cf4a77235dp-9"]),
-    ("br4", "bargaining"): ((27, 135), ["0x1.4195b33333332p-2"] * 3),
+    ("lin3", "utilitarian"): ((24, 70), ["0x1.27c7f127e75d4p+0", "0x0.0p+0"]),
+    ("lin3", "bargaining"): ((150, 390), ["0x1.9a1d0ccccccccp-2"] * 2),
+    ("br4", "utilitarian"): ((27, 100), ["0x1.3333333333333p+0", "0x1.f21cf4b729507p-9",
+                                         "0x1.f21cf4b729507p-9"]),
+    ("br4", "bargaining"): ((150, 351), ["0x1.4195b33333332p-2"] * 3),
 }
 
 
@@ -157,6 +159,57 @@ def test_al_path_pinned(feeder, variant):
     iterations, allocation = AL_PINS[feeder, variant]
     assert sol.iterations == iterations
     assert sol.allocation.tolist() == [float.fromhex(h) for h in allocation]
+
+
+def bench_feeder(n_loads, layout, trunk_m):
+    """A benchmark feeder as its feeder file gives it: generated, serialized, parsed."""
+    spec = SynthSpec(n_loads, layout, trunk_m, conductor=Conductor(i_rated_a=500.0))
+    return to_per_unit(parse_feeder(serialize_feeder(generate_feeder(spec))))
+
+
+@functools.cache
+def status_cases():
+    """Status of each AL-routed solve on the AL_PINS feeders and of each solve of the benchmark's
+    policy_mix (lin10, br5) and frontier_cli (lin5, 21 bounded_upper steps) workloads."""
+    out = {}
+    for name, make in (("lin3", make_lin3), ("br4", make_br4)):
+        for policy in (FairnessPolicy.utilitarian(), FairnessPolicy.bargaining(0.5)):
+            out[name, policy.variant] = solve_nlp_al(build_problem(make(), policy)).status
+    for name, feeder in (("lin10", (10, "linear", 500.0)), ("br5", (5, "branched", 100.0))):
+        nf = bench_feeder(*feeder)
+        egal, uti = (solve_hc(build_problem(nf, p)) for p in (FairnessPolicy.egalitarian(),
+                                                                 FairnessPolicy.utilitarian()))
+        refs = References(egal_per_load=float(egal.allocation[0]) / nf.s_base,
+                          uti_allocation=uti.allocation / nf.s_base)
+        bnd = solve_hc(build_problem(nf, FairnessPolicy.bounded(0.5, 0.5), refs))
+        barg = solve_hc(build_problem(nf, FairnessPolicy.bargaining(0.5)))
+        for sol, variant in ((egal, "egalitarian"), (uti, "utilitarian"), (bnd, "bounded"), (barg, "bargaining")):
+            out[name, variant] = sol.status
+    for p in sweep(bench_feeder(5, "linear", 250.0), "bounded_upper", steps=21).points:
+        out["lin5", f"{p.family}/{p.param:.2f}"] = p.status
+    return out
+
+
+# The AL's status describes its path, not the point it returns: these solves return
+# the allocation they returned when they last reported `optimal`, to the bit, but
+# their multiplier updates no longer settle before the outer iteration limit.
+STATUS_LOST = pytest.mark.xfail(strict=True, reason="optimal allocation, reported as max_iter")
+
+
+# every case that has reported `optimal`; lin3 bargaining and br5 utilitarian never have
+@pytest.mark.parametrize("case", [
+    ("lin3", "utilitarian"), ("br4", "utilitarian"), pytest.param(("br4", "bargaining"), marks=STATUS_LOST),
+    ("lin10", "egalitarian"), ("lin10", "utilitarian"), ("lin10", "bounded"), ("lin10", "bargaining"),
+    ("br5", "egalitarian"), ("br5", "bounded"), pytest.param(("br5", "bargaining"), marks=STATUS_LOST),
+    ("lin5", "frontier"),
+])
+def test_benchmark_solves_report_optimal(case):
+    statuses = status_cases()
+    if case == ("lin5", "frontier"):
+        frontier = {k: s for k, s in statuses.items() if k[0] == "lin5"}
+        assert len(frontier) == 23 and set(frontier.values()) == {"optimal"}, frontier
+    else:
+        assert statuses[case] == "optimal"
 
 
 @pytest.mark.xfail(strict=True, reason="the augmented Lagrangian stops at a local optimum "
