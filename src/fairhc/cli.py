@@ -158,7 +158,7 @@ def _cmd_solve(args) -> None:
 
 def _cmd_pareto(args) -> None:
     _, feeder = _read_feeder(args.feeder)
-    _emit(args, frontier_to_csv(sweep(feeder, args.family, steps=args.steps, jobs=args.jobs)))
+    _emit(args, frontier_to_csv(sweep(feeder, args.family, steps=args.steps)))
 
 
 def _cmd_knee(args) -> None:
@@ -206,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pareto", _cmd_pareto, "fairness-parameter sweep to frontier CSV", "feeder")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, choices=[1],
+                   help="must be 1: a sweep runs in one process; the flag stays so that "
+                        "command lines passing --jobs 1 still run")
     p.set_defaults(manifest=False)  # CSV out, no manifest
     command("knee", _cmd_knee, "knee point of a frontier CSV", "frontier")
     synth = command("synth", _cmd_synth, "generate a synthetic feeder JSON")

@@ -1,9 +1,10 @@
 """Fairness-parameter sweeps, Pareto filtering and knee-point identification.
 
 Each frontier is a PoF-vs-Gini curve for one parameter family, with the
-utilitarian and egalitarian solutions as its two extremes.  Lower-bound sweeps
-may produce dominated points; they are kept in the frontier (the anomaly is
-part of the output) and removed only by :func:`pareto_filter`.
+utilitarian and egalitarian solutions as its two extremes.  A sweep solves that
+reference pair once, then each parameter in order, in one process.  Lower-bound
+sweeps may produce dominated points; they are kept in the frontier (the anomaly
+is part of the output) and removed only by :func:`pareto_filter`.
 """
 from __future__ import annotations
 
@@ -70,9 +71,10 @@ def _sort_points(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(finite, key=lambda p: (p.gini, p.pof)) + failed
 
 
-def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs: int = 1) -> Frontier:
+def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21) -> Frontier:
     """Solve one HC problem per evenly spaced parameter in [0, 1] plus both endpoints.
 
+    The parameters are solved in order, one after another, after the reference pair.
     Per-point failures are embedded as ``status='failed'`` rows, never dropped.
     Raises :class:`Infeasible` only if the baseline itself is infeasible.
     """
@@ -84,18 +86,7 @@ def sweep(feeder: Feeder | NormalizedFeeder, family: str, steps: int = 21, jobs:
     refs, uti, egal = solve_references(nf)
     points = [_point("endpoint_uti", math.nan, uti, uti.hc_total),
               _point("endpoint_egal", math.nan, egal, uti.hc_total)]
-
-    params = np.linspace(0.0, 1.0, steps)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # kept off every command's start-up
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_point, nf, family, float(t), refs, uti.hc_total)
-                       for t in params]
-            points += [f.result() for f in futures]
-    else:
-        points += [_solve_point(nf, family, float(t), refs, uti.hc_total) for t in params]
-
+    points += [_solve_point(nf, family, float(t), refs, uti.hc_total) for t in np.linspace(0.0, 1.0, steps)]
     return Frontier(_sort_points(points))
 
 

@@ -24,6 +24,8 @@ flows, mismatch, partials, elimination and update, from per-line constants in
 the plan, with no NumPy call in the loop.  From ``TREE_MIN_BUSES`` buses the
 NumPy partials win, and a one-point step eliminates them in floats
 (:func:`_chain_step`).  The adjoint's transposed solve takes the same choice.
+Both ways add in the same order, so a one-point flow and its adjoint hold the
+same bits on either side of ``TREE_MIN_BUSES`` (measured on random trees).
 The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
@@ -128,6 +130,8 @@ class FeederPlan(NamedTuple):
     rev: np.ndarray  # (2L,) the same line measured at the other end, (k + L) % 2L
     g: np.ndarray  # (2, 2L, 1) the conductance in P's row, -b in Q's
     inc: np.ndarray  # (2L, n) 0/1; ``inc.T @ flows`` sums the flows into their measuring bus
+    rhs_at: np.ndarray  # (n + 4L,) slots of the adjoint's right-hand side, theta rows then V rows, in the
+    # order :func:`_adjoint_point` adds: the V start values, then each flow's (measuring, far) ends in theta, in V
     chain: list  # :func:`_eliminate`'s order, four lists of Python ints: the non-slack buses stably
     # sorted by height, so each comes after its children and a parent's children keep breadth-first
     # order; each one's parent; the flow measured at it towards its parent; that flow's reverse
@@ -145,6 +149,8 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     inc = np.zeros((2 * L, n))
     inc[np.arange(2 * L), at] = 1.0
     rev = (np.arange(2 * L) + L) % (2 * L)
+    ends = np.column_stack((at, other)).ravel()
+    rhs_at = np.concatenate((n + np.arange(n), ends, n + ends))
     # breadth first from the slack: the flow measured at each bus towards its parent
     up, order = np.full(n, -1), [nf.slack]
     for bus in order:
@@ -160,7 +166,7 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     chain = [a.tolist() for a in (kids, parent[kids], up[kids], rev[up[kids]])]
     g = np.tile([nf.g, -nf.b], 2)[..., None]
     lines = list(zip(*(a.tolist() for a in (nf.from_bus, nf.to_bus, nf.g, -nf.b, 2.0 * nf.g, -2.0 * nf.b))))
-    return FeederPlan(ns, pos, at, other, rev, g, inc, chain, lines)
+    return FeederPlan(ns, pos, at, other, rev, g, inc, rhs_at, chain, lines)
 
 
 def _ends(plan: FeederPlan, v, theta):
@@ -397,7 +403,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
             ta[ns] += dx[:m]
             va[ns] += dx[m:]
 
-        p_slack, q_slack = (plan.inc.T @ pq)[:, nf.slack]
+        # the slack's own flows in flow order, as _solve_point adds them
+        p_slack, q_slack = sum((pq[:, k] for k in np.flatnonzero(plan.at == nf.slack)), np.zeros((2, B)))
     p, q = pq.swapaxes(1, 2)
     return _BatchResult(
         v.T, theta.T, p[:, :L], q[:, :L], p[:, L:], q[:, L:],
@@ -548,11 +555,9 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
         return np.array(lam)[nf.load_bus]
     d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
     dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
-    # the far end of flow k is the measuring end of its reverse
-    per_flow = dw[0] + dw[1].take(plan.rev, axis=1)
-    per_flow[0] += angle
-    rhs = per_flow @ plan.inc
-    rhs[1] += w_vl - w_vu
+    dw[0, 0] += angle
+    terms = np.concatenate((w_vl - w_vu, dw.transpose(1, 2, 0).ravel()))  # in plan.rhs_at's order
+    rhs = np.bincount(plan.rhs_at, terms, 2 * n).reshape(2, n)
     lam, singular = _chain_step(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), transpose=True)
     if singular[0]:
         raise SingularJacobian("adjoint system is singular")

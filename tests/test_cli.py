@@ -158,6 +158,14 @@ class TestSolve:
             main(["solve", feeder_path, "--policy", "utilitarian", flag, "1"])
         assert exc.value.code == EXIT_INPUT
 
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_pareto_jobs_other_than_1_exits_2(self, capsys, feeder_path, jobs):
+        # a sweep runs in one process; --jobs stays only for command lines passing --jobs 1
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", feeder_path, "--family", "bounded_upper", "--steps", "2", "--jobs", jobs])
+        assert exc.value.code == EXIT_INPUT
+        assert "argument --jobs" in capsys.readouterr().err
+
     def test_zero_grid_steps_exits_before_reference_solves(self, capsys, feeder_path,
                                                            monkeypatch):
         calls = []
@@ -190,6 +198,13 @@ class TestParetoAndKnee:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 23  # 21 sweep points + both endpoints
+
+    def test_jobs_1_writes_the_same_frontier(self, feeder_path, tmp_path):
+        # the benchmark's frontier_cli command line passes --jobs 1
+        argv = ["pareto", feeder_path, "--family", "bounded_upper", "--steps", "3", "--out"]
+        assert main([*argv, str(tmp_path / "plain.csv")]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "jobs.csv"), "--jobs", "1"]) == EXIT_OK
+        assert (tmp_path / "jobs.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_knee_from_csv(self, capsys, feeder_path, tmp_path):
         out = tmp_path / "frontier.csv"
@@ -280,6 +295,15 @@ class TestColdStart:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
+
+    def test_pareto_run_loads_no_process_pool(self, feeder_path, tmp_path):
+        code = ("import sys; from fairhc.cli import main; "
+                f"code = main(['pareto', {feeder_path!r}, '--family', 'bounded_upper', '--steps', '3', "
+                f"'--out', {str(tmp_path / 'frontier.csv')!r}]); "
+                "print(code, 'concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "0 False\n"
 
     def test_large_feeder_power_flow_and_adjoint_load_no_scipy(self):
         # SciPy's sparse LU was the other way round the dense 201-bus Jacobian, but

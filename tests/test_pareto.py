@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fairhc.errors import DegenerateFrontier
+import fairhc.pareto
+from fairhc.errors import DegenerateFrontier, FairHCError
 from fairhc.pareto import (
     CSV_HEADER,
     Frontier,
@@ -67,6 +68,28 @@ class TestSweep:
             sweep(lin3, "bargaining", steps=1)
         with pytest.raises(ValueError):
             sweep(lin3, "bogus", steps=5)
+
+    def test_a_failed_point_is_kept_last_with_blank_numbers(self, lin3, monkeypatch):
+        seen, real = [], fairhc.pareto.solve_hc
+
+        def solve_hc(problem):
+            seen.append(problem.policy.k)
+            if problem.policy.k == 0.5:
+                raise FairHCError("injected failure")
+            return real(problem)
+
+        monkeypatch.setattr(fairhc.pareto, "solve_hc", solve_hc)
+        frontier = sweep(lin3, "bargaining", steps=3)
+        assert seen == [0.0, 0.5, 1.0]  # in order, after the reference pair
+        failed = frontier.points[-1]
+        assert (failed.family, failed.param, failed.status) == ("bargaining", 0.5, "failed")
+        assert all(math.isnan(x) for x in (failed.hc_kw, failed.pof, failed.gini))
+        assert [p.status for p in frontier.points].count("failed") == 1
+        text = frontier_to_csv(frontier)
+        assert text.splitlines()[-1] == "bargaining,0.500000,,,,failed"
+        points = points_from_csv(text)
+        assert len(points) == 5 and points[-1].status == "failed" and math.isnan(points[-1].gini)
+        assert knee_point(points) is knee_point(points[:-1])
 
 
 class TestParetoFilter:

@@ -696,10 +696,9 @@ def test_float_point_singular_like_its_batch_row():
 def test_float_point_leaves_a_non_finite_start_like_its_batch_row(bad):
     """Where NumPy gives NaN or inf without complaint, Python floats may raise (``math.cos``
     of an infinite angle); the point still leaves as diverged at the step NumPy finds, with the
-    same state and last finite mismatch.  The slack sums are left out: the batch's dense
-    incidence product turns a non-finite flow anywhere into NaN there (0 x inf), while the
-    floats sum the slack's own flows.  At an infinite angle the float point reports NaN flows,
-    which no caller reads, so its flows are left out too."""
+    same state and last finite mismatch.  Both sum the slack exchange from the slack's own
+    flows.  At an infinite angle the float point reports NaN flows and slack sums, which no
+    caller reads, so those are left out."""
     rng = np.random.default_rng(3)
     nf = random_tree(rng, 9)
     dg = rng.uniform(0.0, 1.0, size=(2, nf.n_loads))
@@ -713,9 +712,9 @@ def test_float_point_leaves_a_non_finite_start_like_its_batch_row(bad):
         v[:, bus] = 1e200
     else:
         v[:, bus] = 1e-7
-    skip = ("p_slack", "q_slack")
+    skip = ()
     if bad == "theta_inf":
-        skip += ("p_flow", "q_flow", "p_flow_rev", "q_flow_rev")
+        skip = ("p_flow", "q_flow", "p_flow_rev", "q_flow_rev", "p_slack", "q_slack")
     res = assert_point_matches_batch_row(nf, dg, (v, theta), skip=skip)
     assert not res.converged.any() and (res.iterations == 0).all()
 
@@ -755,6 +754,27 @@ def test_scalar_elimination_matches_dense_on_large_feeders(monkeypatch, layout, 
                 np.testing.assert_allclose(g[:2], want[:2], rtol=0, atol=1e-10, err_msg=name)
             else:
                 assert (g == want).all(), name
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_point_answers_hold_the_same_bits_either_side_of_tree_min_buses(monkeypatch, seed):
+    """A power flow and its adjoint on a random tree of 48-129 buses, with the NumPy partials
+    (TREE_MIN_BUSES at 48) and whole in Python floats (TREE_MIN_BUSES above the bus count):
+    every PowerFlowState field and the gradient hold the same bits."""
+    rng = np.random.default_rng(seed)
+    nf = random_tree(rng, int(rng.integers(48, 130)))
+    dg = rng.uniform(0.0, 1.0, nf.n_loads)
+    w = rng.normal(size=len(residual_labels(nf)))
+    runs = []
+    for threshold in (48, nf.n_bus + 1):
+        monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", threshold)
+        state = solve_power_flow(nf, dg)
+        runs.append((state, adjoint_gradient(nf, dg, w, state=state)))
+    (numpy_state, numpy_grad), (float_state, float_grad) = runs
+    for field in dataclasses.fields(PowerFlowState):
+        want, got = (np.asarray(getattr(s, field.name)) for s in (numpy_state, float_state))
+        assert got.tobytes() == want.tobytes(), field.name
+    assert float_grad.tobytes() == numpy_grad.tobytes()
 
 
 def tree_case(nf, rng, B=7):

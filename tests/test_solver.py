@@ -356,6 +356,13 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle_batch(probs, grid_steps=11)
 
+    def test_batch_rejects_an_empty_grid(self, lin3):
+        with pytest.raises(ValueError, match="grid_steps must be >= 1"):
+            brute_force_oracle_batch([build_problem(lin3, FairnessPolicy.utilitarian())], grid_steps=0)
+
+    def test_batch_of_no_problems_is_empty(self):
+        assert brute_force_oracle_batch([]) == []
+
 
 def flat_oracle(problem, steps):
     """Reference grid oracle: every point solved from a flat start in one batch,
