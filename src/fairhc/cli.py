@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    level = os.environ.get("FAIRHC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("FAIRHC_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)  # BASIC_FORMAT is no level
     args = build_parser().parse_args(argv)
     args.argv = ["fairhc"] + argv
     try:

@@ -2,31 +2,31 @@
 residuals and adjoint sensitivities of those residuals w.r.t. DG injections.
 
 Each feeder compiles once into a :class:`FeederPlan` (cached as ``nf.plan``):
-every line appears as two oriented flows, one measured at each end, and the
-plan's index arrays scatter those flows into the nodal sums.  A Newton step
-takes cos/sin once per line; the mismatch and the flow partials both read the
-terms built from them, and the adjoint shares the partials.  Every linear solve
-is :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's leaf-first
-order, reading the diagonal blocks as per-bus sums of the partials and the
-off-diagonal ones straight from them; no Jacobian is ever assembled.
+every line appears as two oriented flows, one measured at each end.  A Newton
+step takes cos/sin once per line; the mismatch and the flow partials both read
+the terms built from them, and the adjoint shares the partials.  Every linear
+solve is :func:`_eliminate`, which eliminates 2x2 bus blocks in the plan's
+leaf-first order, reading the diagonal blocks as per-bus sums of the partials
+and the off-diagonal ones straight from them; no Jacobian is ever assembled.
 
 The Newton core is batched, bus before batch: B injection vectors are solved
 together as states (n, B), flows (2, 2L, B) and partials (2, 2, 2, 2L, B), so
-gathers select rows and the nodal sums are ``plan.inc.T @ flows``.  Points drop
-out of the batch as they finish.  :func:`_solve_batch` picks the way once per
-call, from the number of points and buses.  A call of two or more points
-eliminates over (B,) rows at every step (:func:`_tree_solve`).  A point's
+gathers select rows.  A NumPy step sums the flows into the mismatch by
+``plan.inc.T @ flows``, and the partials into the diagonal blocks the same way
+for a batch and by ``np.bincount`` for one point; the slack's P and Q add its
+own flows.  Points drop out of the batch as they finish.  :func:`_solve_batch`
+picks the way once per call, from the number of points and buses.  Two or more
+points eliminate over (B,) rows at every step (:func:`_tree_solve`).  A point's
 results then hold the same bits whatever its batchmates, except through the
 steps it takes alone, as far as NumPy's matmul sums two or more columns alike
 (measured, not promised).  A one-point call on a feeder below
-``TREE_MIN_BUSES`` buses runs whole in Python floats (:func:`_solve_point`):
-flows, mismatch, partials, elimination and update, from per-line constants in
-the plan, with no NumPy call in the loop.  From ``TREE_MIN_BUSES`` buses the
-NumPy partials win, and a one-point step eliminates them in floats
-(:func:`_chain_step`).  The adjoint's transposed solve takes the same choice.
-Both ways add in the same order, so a one-point flow and its adjoint hold the
-same bits on either side of ``TREE_MIN_BUSES`` (measured on random trees).
-The public single-shot API wraps batch size 1.
+``TREE_MIN_BUSES`` buses runs whole in Python floats (:func:`_solve_point`),
+every step from per-line constants in the plan with no NumPy call in the loop.
+From ``TREE_MIN_BUSES`` buses the NumPy partials win, and a one-point step
+eliminates them in floats (:func:`_chain_step`); the adjoint's transposed solve
+chooses alike.  Both ways add in the same order, so a one-point flow and its
+adjoint hold the same bits on either side of ``TREE_MIN_BUSES`` (measured on
+random trees).  The public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.

@@ -11,12 +11,12 @@ a fixed one included, to the second:
   bound-projected quasi-Newton (L-BFGS-B) driven by adjoint gradients,
   deterministic 3-point multi-start.
 * ``brute_force_oracle`` -- exhaustive feasibility grid for desk-scale feeders,
-  used as an independent verification oracle.  It makes the grid chunk by
-  chunk, never whole, and sweeps it as a continuation along the first load:
-  each slab of points sharing one value of that load starts Newton from the
-  converged states of the same points in the two slabs before it.  It falls
-  back to a flat start where that fails, and to a flat-start sweep of the
-  whole grid if a winner does not re-verify from a flat start.
+  used as an independent verification oracle: batched Newton solves, made
+  chunk by chunk and swept as a continuation along the first load; each
+  winner is re-verified from a flat start.
+
+Every single-point power flow of a solve goes through one ``_Evaluator``, a
+cache of flat-start states and residual vectors keyed by the allocation.
 
 ``solve_references`` gives the utilitarian/egalitarian pair that the bounded
 policy and the frontier sweeps start from.
@@ -77,17 +77,35 @@ class HCSolution:
     status: str  # optimal | max_iter; an infeasible problem raises Infeasible
     kkt_residual: float
     binding: list[str] = field(default_factory=list)
-    iterations: tuple[int, int] = (0, 0)  # (outer, inner)
+    # AL: (outer passes, L-BFGS-B iterations), summed over starts; bisection:
+    # (bisection steps, 0), (1, 0) at a feasible cap; oracle: (0, grid points)
+    iterations: tuple[int, int] = (0, 0)
     disparity: float | None = None  # kW, bargaining only
 
 
-def _residual_vector(nf: NormalizedFeeder, dg: np.ndarray):
-    """(state, residual vector) at ``dg``; None on power-flow failure."""
-    try:
-        state = solve_power_flow(nf, dg)
-    except (NonConvergence, SingularJacobian):
-        return None, None
-    return state, constraint_residuals(state, nf).as_vector()
+class _Evaluator:
+    """Operating state and residual vector of one feeder, cached by allocation.
+
+    It holds flat-start results only, so a cache hit is as much a flat
+    re-verification of a reported point as a fresh solve.
+    """
+
+    def __init__(self, nf: NormalizedFeeder):
+        self.nf, self.cache = nf, {}
+
+    def at(self, p: np.ndarray) -> tuple:
+        """(state, residual vector) at ``p``; (None, None) where the power flow fails."""
+        key = p.tobytes()
+        if key not in self.cache:
+            if len(self.cache) > 64:
+                self.cache.clear()
+            try:
+                state = solve_power_flow(self.nf, p)
+            except (NonConvergence, SingularJacobian):
+                self.cache[key] = None, None
+            else:
+                self.cache[key] = state, constraint_residuals(state, self.nf).as_vector()
+        return self.cache[key]
 
 
 def _feasible(c: np.ndarray | None) -> bool:
@@ -96,12 +114,12 @@ def _feasible(c: np.ndarray | None) -> bool:
     return c is not None and bool(c.min() >= -FEAS_TOL)
 
 
-def _make_solution(nf: NormalizedFeeder, p: np.ndarray, policy: FairnessPolicy, status: str,
-                   c: np.ndarray, iterations: tuple[int, int], kkt: float | None = None) -> HCSolution:
-    """Solution at ``p`` from its verified residual vector ``c``; ``kkt``
-    defaults to the violation of ``c``."""
-    sb = nf.s_base
-    labels = residual_labels(nf)
+def _make_solution(ev: _Evaluator, p: np.ndarray, policy: FairnessPolicy, status: str,
+                   iterations: tuple[int, int], kkt: float | None = None) -> HCSolution:
+    """Solution at ``p``, re-verified by ``ev``; ``kkt`` defaults to the
+    violation found there."""
+    c, sb = ev.at(p)[1], ev.nf.s_base
+    labels = residual_labels(ev.nf)
     return HCSolution(
         allocation=p * sb,
         hc_total=float(p.sum()) * sb,
@@ -130,33 +148,30 @@ def solve_egalitarian_bisection(nf: NormalizedFeeder,
     """
     policy = policy or FairnessPolicy.egalitarian()
     n = nf.n_loads
+    ev = _Evaluator(nf)
 
     def residuals(t: float) -> np.ndarray | None:
-        return _residual_vector(nf, np.full(n, t))[1]
+        return ev.at(np.full(n, t))[1]
 
-    c_lo = residuals(0.0)
-    if not _feasible(c_lo):
+    if not _feasible(residuals(0.0)):
         raise Infeasible("baseline (lowest uniform injection) already violates limits")
-    c = residuals(nf.dg_cap)
-    if _feasible(c):
-        return _make_solution(nf, np.full(n, nf.dg_cap), policy, "optimal", c, (1, 0))
+    if _feasible(residuals(nf.dg_cap)):
+        return _make_solution(ev, np.full(n, nf.dg_cap), policy, "optimal", (1, 0))
 
     # prescan; its endpoints are the two probes above
     probes = np.linspace(0.0, nf.dg_cap, 9)
-    checks = [c_lo, *(residuals(t) for t in probes[1:-1])]
-    k = max(i for i, c in enumerate(checks) if _feasible(c))
-    lo, hi, c_lo = probes[k], probes[k + 1], checks[k]
+    k = max(i for i, t in enumerate(probes[:-1]) if _feasible(residuals(t)))
+    lo, hi = probes[k], probes[k + 1]
 
     outer = 0
     while hi - lo > _BISECT_TOL:
         outer += 1
         mid = 0.5 * (lo + hi)
-        c = residuals(mid)
-        if _feasible(c):
-            lo, c_lo = mid, c
+        if _feasible(residuals(mid)):
+            lo = mid
         else:
             hi = mid
-    return _make_solution(nf, np.full(n, lo), policy, "optimal", c_lo, (outer, 0))
+    return _make_solution(ev, np.full(n, lo), policy, "optimal", (outer, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,8 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
         grad_f = np.full(n, -1.0)
     bounds = list(zip(lo.tolist(), hi.tolist()))
 
-    state_low, c_low = _residual_vector(nf, problem.lower)
+    ev = _Evaluator(nf)
+    c_low = ev.at(problem.lower)[1]
     if not _feasible(c_low):
         raise Infeasible("lower-bound allocation already violates operational limits")
 
@@ -197,20 +213,8 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
             return -(k * z[:n].sum() - (1.0 - k) * z[n])
         return -float(z.sum())
 
-    cache: dict[bytes, tuple] = {lo.tobytes(): (state_low, c_low)}
-
-    def pf(z: np.ndarray):
-        key = z.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = _residual_vector(nf, z[:n])
-            if len(cache) > 64:
-                cache.clear()
-            cache[key] = hit
-        return hit
-
     def constraints(z: np.ndarray) -> np.ndarray | None:
-        c_net = pf(z)[1]
+        c_net = ev.at(z[:n])[1]
         if c_net is None or not barg:
             return c_net
         dev = z[:n] - z[:n].mean()
@@ -218,11 +222,10 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
 
     def weighted_grad(z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_i w_i * grad c_i(z)."""
-        state, c_net = pf(z)
-        nc = len(c_net)
+        nc = len(c_low)
         out = np.zeros(len(z))
         if np.any(w[:nc] != 0.0):
-            out[:n] += adjoint_gradient(nf, z[:n], w[:nc], state=state)
+            out[:n] += adjoint_gradient(nf, z[:n], w[:nc], state=ev.at(z[:n])[0])
         if barg:
             w1, w2 = w[nc: nc + n], w[nc + n:]
             out[:n] += -w1 + w1.sum() / n
@@ -255,8 +258,7 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
         if barg:
             z_egal = np.append(z_egal, disparity(z_egal))
         starts.append(z_egal)
-        _, c_egal = _residual_vector(nf, z_egal[:n])
-        if _feasible(c_egal) and f(z_egal) < best[0]:
+        if _feasible(ev.at(z_egal[:n])[1]) and f(z_egal) < best[0]:
             best = (f(z_egal), z_egal, None)
     starts.append(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)))
     unique: dict[bytes, np.ndarray] = {}
@@ -304,11 +306,10 @@ def solve_nlp_al(problem: HCProblem) -> HCSolution:
 
     _, z, kkt = best
     p = z[:n]
-    _, c_net = _residual_vector(nf, p)  # independent re-verification
-    if not _feasible(c_net):
-        p, c_net, kkt, converged = problem.lower, c_low, np.inf, False
+    if not _feasible(ev.at(p)[1]):  # flat-start re-verification
+        p, kkt, converged = problem.lower, np.inf, False
     status = "optimal" if converged else "max_iter"
-    return _make_solution(nf, p, problem.policy, status, c_net, (outer_total, inner_total), kkt)
+    return _make_solution(ev, p, problem.policy, status, (outer_total, inner_total), kkt)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +461,7 @@ def brute_force_oracle_batch(problems: list[HCProblem],
         key = (prob.tie, prob.lower.tobytes(), prob.upper.tobytes())
         groups.setdefault(key, []).append(j)
 
+    ev = _Evaluator(nf)
     out: list[HCSolution | None] = [None] * len(problems)
     for members in groups.values():
         first = problems[members[0]]
@@ -467,14 +469,12 @@ def brute_force_oracle_batch(problems: list[HCProblem],
         objectives = [problems[j].objective for j in members]
         n_slabs = 1 if first.tie or first.n_loads == 1 else grid_steps
         best = _sweep(nf, objectives, first, grid_steps, n_slabs)
-        checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
-        if n_slabs > 1 and not all(_feasible(c) for c in checks):
+        if n_slabs > 1 and not all(p is not None and _feasible(ev.at(p)[1]) for p in best):
             # a predicted start converged where a flat start does not: sweep
             # the group again from flat starts only
             best = _sweep(nf, objectives, first, grid_steps, 1)
-            checks = [None if p is None else _residual_vector(nf, p)[1] for p in best]
-        for j, p, c_net in zip(members, best, checks):
+        for j, p in zip(members, best):
             if p is None:
                 raise Infeasible("no feasible grid point")
-            out[j] = _make_solution(nf, p, problems[j].policy, "optimal", c_net, (0, n_points))
+            out[j] = _make_solution(ev, p, problems[j].policy, "optimal", (0, n_points))
     return out  # type: ignore[return-value]

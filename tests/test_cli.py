@@ -363,6 +363,16 @@ class TestDeterminism:
         monkeypatch.setenv("FAIRHC_LOG", "DEBUG")
         assert main(["validate", feeder_path]) == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["basic_format", "no_such_level", "info"])
+    def test_log_env_sets_only_a_level(self, feeder_path, tmp_path, value):
+        # a fresh process: under pytest the root logger has handlers, and basicConfig then does nothing
+        code = ("import logging; from fairhc.cli import main; "
+                f"code = main(['validate', {feeder_path!r}, '--out', {str(tmp_path / 'v.json')!r}]); "
+                "print(code, logging.getLevelName(logging.getLogger().level))")
+        env = dict(os.environ, FAIRHC_LOG=value, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.stdout, out.stderr) == ("0 INFO\n" if value == "info" else "0 WARNING\n", "")
+
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 GOLDEN_RUNS = {

@@ -9,7 +9,13 @@ from fairhc.errors import Infeasible, TooManyLoads
 from fairhc.formulation import FairnessPolicy, HCProblem, References, build_problem
 from fairhc.netmodel import parse_feeder, serialize_feeder, to_per_unit
 from fairhc.pareto import sweep
-from fairhc.powerflow import _solve_batch, constraint_residuals, residual_min_batch, solve_power_flow
+from fairhc.powerflow import (
+    _solve_batch,
+    constraint_residuals,
+    residual_labels,
+    residual_min_batch,
+    solve_power_flow,
+)
 from fairhc.solver import (
     FEAS_TOL,
     ORACLE_CHUNK,
@@ -94,7 +100,7 @@ class TestEgalitarianBisection:
             ok = t <= 0.3 or 0.6 <= t <= 0.7
             return None, np.array([0.1 if ok else -0.1])
 
-        monkeypatch.setattr(solver, "_residual_vector", fake)
+        monkeypatch.setattr(solver._Evaluator, "at", fake)
         sol = solve_egalitarian_bisection(lin3)
         t = float(sol.allocation[0])
         assert 0.7 - solver._BISECT_TOL <= t <= 0.7
@@ -159,6 +165,23 @@ def test_al_path_pinned(feeder, variant):
     iterations, allocation = AL_PINS[feeder, variant]
     assert sol.iterations == iterations
     assert sol.allocation.tolist() == [float.fromhex(h) for h in allocation]
+
+
+REPORTING_ROUTES = {
+    "bisection": solve_egalitarian_bisection,
+    "al_utilitarian": lambda nf: solve_nlp_al(build_problem(nf, FairnessPolicy.utilitarian())),
+    "al_bargaining": lambda nf: solve_nlp_al(build_problem(nf, FairnessPolicy.bargaining(0.5))),
+    "oracle": lambda nf: brute_force_oracle(build_problem(nf, FairnessPolicy.utilitarian()), grid_steps=41),
+}
+
+
+@pytest.mark.parametrize("route", list(REPORTING_ROUTES))
+def test_binding_labels_are_those_of_a_fresh_flow_at_the_reported_allocation(lin3, route):
+    sol = REPORTING_ROUTES[route](lin3)
+    c = constraint_residuals(solve_power_flow(lin3, sol.allocation / lin3.s_base), lin3).as_vector()
+    labels = residual_labels(lin3)
+    assert sol.binding == [labels[i] for i in np.flatnonzero(c < solver._BINDING_TOL)]
+    assert sol.binding or route == "oracle"
 
 
 def bench_feeder(n_loads, layout, trunk_m):
