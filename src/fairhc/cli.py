@@ -233,8 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    level = getattr(logging, os.environ.get("FAIRHC_LOG", "WARNING").upper(), None)
+    name = os.environ.get("FAIRHC_LOG")
+    level = getattr(logging, (name or "WARNING").upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)  # BASIC_FORMAT is no level
+    if name and isinstance(level, int):  # basicConfig leaves a root logger that has a handler alone
+        logging.getLogger().setLevel(level)
     args = build_parser().parse_args(argv)
     args.argv = ["fairhc"] + argv
     try:

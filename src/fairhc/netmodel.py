@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -21,12 +21,32 @@ DEFAULT_DTHETA = math.radians(10.0)
 
 BUS_KINDS = ("slack", "junction", "load")
 
+# Field metadata that declares a range, which check_fields enforces: (op, bound) with
+# op ">" or ">=", or ("in", choices)
+POSITIVE = {"range": (">", 0.0)}
+NON_NEGATIVE = {"range": (">=", 0.0)}
 
-def require_finite(record, where: str) -> None:
-    """Reject a NaN or infinite number field of ``record``, which range checks let through."""
-    for name, value in vars(record).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{where}: {name} must be finite")
+
+@cache
+def _rules(cls) -> tuple[tuple[str, str, object], ...]:
+    """(name, op, bound) of each field of a record class that declares a range, and
+    (name, ">", -inf) of every other field annotated ``float`` or ``int``."""
+    return tuple((f.name, *f.metadata.get("range", (">", -math.inf))) for f in fields(cls)
+                 if "range" in f.metadata or f.type in ("float", "int"))
+
+
+def check_fields(record, where: str) -> None:
+    """Reject a NaN or infinite number field of ``record`` and a field outside its declared
+    range; ``where``, formatted with the record (``"bus {0.id!r}"``), starts the message."""
+    values = vars(record)
+    for name, op, bound in _rules(type(record)):
+        value = values[name]
+        if op == "in":
+            if value not in bound:
+                raise ValidationError(f"{where.format(record)}: unknown {name} {value!r}")
+        elif not (bound < value < math.inf if op == ">" else bound <= value < math.inf):
+            rule = f"{op} {bound:g}" if math.isfinite(value) else "finite"
+            raise ValidationError(f"{where.format(record)}: {name} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -34,16 +54,14 @@ class Bus:
     """Network node with voltage-magnitude and angle-difference limits (per unit / rad)."""
 
     id: str
-    kind: str
+    kind: str = field(metadata={"range": ("in", BUS_KINDS)})
     v_min: float = DEFAULT_V_MIN
     v_max: float = DEFAULT_V_MAX
     dtheta_min: float = -DEFAULT_DTHETA
     dtheta_max: float = DEFAULT_DTHETA
 
     def __post_init__(self):
-        require_finite(self, f"bus {self.id!r}")
-        if self.kind not in BUS_KINDS:
-            raise ValidationError(f"bus {self.id!r}: unknown kind {self.kind!r}")
+        check_fields(self, "bus {0.id!r}")
         if not 0.0 < self.v_min < self.v_max:
             raise ValidationError(f"bus {self.id!r}: require 0 < v_min < v_max")
         if not self.dtheta_min < 0.0 < self.dtheta_max:
@@ -56,26 +74,16 @@ class Line:
 
     from_bus: str
     to_bus: str
-    resistance: float  # ohm
-    reactance: float  # ohm
-    length: float  # meters
-    rated_current: float  # ampere
-    nominal_voltage: float  # volt
+    resistance: float = field(metadata=POSITIVE)  # ohm
+    reactance: float = field(metadata=NON_NEGATIVE)  # ohm
+    length: float = field(metadata=POSITIVE)  # meters
+    rated_current: float = field(metadata=POSITIVE)  # ampere
+    nominal_voltage: float = field(metadata=POSITIVE)  # volt
 
     def __post_init__(self):
-        require_finite(self, f"line {self.from_bus!r}-{self.to_bus!r}")
+        check_fields(self, "line {0.from_bus!r}-{0.to_bus!r}")
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: self loop")
-        if self.resistance <= 0:
-            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: resistance must be > 0")
-        if self.length <= 0:
-            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: length must be > 0")
-        if self.reactance < 0:
-            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: reactance must be >= 0")
-        if self.rated_current <= 0:
-            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: rated_current must be > 0")
-        if self.nominal_voltage <= 0:
-            raise ValidationError(f"line {self.from_bus!r}-{self.to_bus!r}: nominal_voltage must be > 0")
 
     @property
     def impedance_abs(self) -> float:
@@ -87,13 +95,11 @@ class GridConnection:
     """Transformer exchange limits at the slack bus (kW / kvar)."""
 
     bus: str
-    p_max: float
-    q_max: float
+    p_max: float = field(metadata=POSITIVE)
+    q_max: float = field(metadata=POSITIVE)
 
     def __post_init__(self):
-        require_finite(self, "grid connection")
-        if self.p_max <= 0 or self.q_max <= 0:
-            raise ValidationError("grid connection: p_max and q_max must be > 0")
+        check_fields(self, "grid connection")
 
 
 @dataclass(frozen=True)
@@ -101,13 +107,11 @@ class Load:
     """Demand record attached to one load bus (kW / kvar)."""
 
     bus: str
-    p_demand: float
+    p_demand: float = field(metadata=NON_NEGATIVE)
     q_demand: float
 
     def __post_init__(self):
-        require_finite(self, f"load at {self.bus!r}")
-        if self.p_demand < 0:
-            raise ValidationError(f"load at {self.bus!r}: p_demand must be >= 0")
+        check_fields(self, "load at {0.bus!r}")
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,12 @@ class Feeder:
     lines: tuple[Line, ...]
     loads: tuple[Load, ...]
     connection: GridConnection
-    s_base: float  # kVA
-    v_base: float  # volt
-    dg_cap: float  # kW, global per-load ceiling
+    s_base: float = field(metadata=POSITIVE)  # kVA
+    v_base: float = field(metadata=POSITIVE)  # volt
+    dg_cap: float = field(metadata=POSITIVE)  # kW, global per-load ceiling
 
     def __post_init__(self):
-        require_finite(self, "feeder")
-        if self.s_base <= 0 or self.v_base <= 0:
-            raise ValidationError("feeder bases must be > 0")
-        if self.dg_cap <= 0:
-            raise ValidationError("dg_cap must be > 0")
+        check_fields(self, "feeder")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate bus ids")
@@ -184,12 +184,6 @@ class Feeder:
                     seen.add(nxt)
                     walk.append((nxt, bus, ln))
         return walk
-
-    def bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise UnknownBus(bus_id)
 
 
 @dataclass(frozen=True)
@@ -376,14 +370,14 @@ def feeder_to_dict(record) -> dict:
     """
     raw = {}
     for key, (name, kind) in _FORMAT[type(record)].items():
-        field = getattr(record, name)
+        value = getattr(record, name)
         if isinstance(kind, tuple):
-            field = [feeder_to_dict(item) for item in field]
+            value = [feeder_to_dict(item) for item in value]
         elif kind in _FORMAT:
-            field = feeder_to_dict(field)
-        elif key in ("dtheta_min", "dtheta_max") and field == getattr(Bus, name):
+            value = feeder_to_dict(value)
+        elif key in ("dtheta_min", "dtheta_max") and value == getattr(Bus, name):
             continue
-        raw[key] = field
+        raw[key] = value
     return raw
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kpi import gini, price_of_fairness
-from .netmodel import Bus, Feeder, GridConnection, Line, Load, require_finite, to_per_unit
+from .netmodel import NON_NEGATIVE, POSITIVE, Bus, Feeder, GridConnection, Line, Load, check_fields, to_per_unit
 from .solver import solve_references
 
 LAYOUTS = ("linear", "branched")
@@ -24,35 +24,27 @@ GRID_Q_MAX_KVAR = 1e5
 
 @dataclass(frozen=True)
 class Conductor:
-    r_ohm_per_km: float = 0.9
-    x_ohm_per_km: float = 0.08
-    i_rated_a: float = 200.0
+    r_ohm_per_km: float = field(default=0.9, metadata=POSITIVE)
+    x_ohm_per_km: float = field(default=0.08, metadata=NON_NEGATIVE)
+    i_rated_a: float = field(default=200.0, metadata=POSITIVE)
 
     def __post_init__(self):
-        require_finite(self, "conductor")
-        if self.r_ohm_per_km <= 0 or self.x_ohm_per_km < 0 or self.i_rated_a <= 0:
-            raise ValidationError("conductor parameters must be positive")
+        check_fields(self, "conductor")
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_loads: int
-    layout: str  # linear | branched
-    trunk_len_m: float
-    branch_len_m: float = 30.0  # per lateral, branched layout only
+    n_loads: int = field(metadata={"range": (">=", 1)})
+    layout: str = field(metadata={"range": ("in", LAYOUTS)})
+    trunk_len_m: float = field(metadata=POSITIVE)
+    branch_len_m: float = field(default=30.0, metadata=POSITIVE)  # per lateral, branched layout only
     conductor: Conductor = field(default_factory=Conductor)
     load_p_kw: float = 1.0
     load_q_kvar: float = 0.3
     dg_cap_kw: float = 1000.0
 
     def __post_init__(self):
-        require_finite(self, "synth spec")
-        if self.n_loads < 1:
-            raise ValidationError("n_loads must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise ValidationError(f"unknown layout {self.layout!r}")
-        if self.trunk_len_m <= 0 or self.branch_len_m <= 0:
-            raise ValidationError("lengths must be > 0")
+        check_fields(self, "synth spec")
 
     @property
     def total_length_m(self) -> float:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import shutil
@@ -93,6 +94,13 @@ def test_nonpositive_line_length_exits_2(capsys, tmp_path, command, length):
     doc["lines"][0]["length_m"] = length
     assert main([command, write_feeder(tmp_path, doc)]) == EXIT_INPUT
     assert "length must be > 0" in capsys.readouterr().err
+
+
+def test_negative_reactance_exits_2(capsys, tmp_path):
+    doc = feeder_dict()
+    doc["lines"][1]["x_ohm"] = -1
+    assert main(["validate", write_feeder(tmp_path, doc)]) == EXIT_INPUT
+    assert "line 'a'-'b': reactance must be >= 0" in capsys.readouterr().err
 
 
 class TestStats:
@@ -359,9 +367,26 @@ class TestDeterminism:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == plain
 
-    def test_log_env_accepted(self, capsys, feeder_path, monkeypatch):
+    @pytest.fixture
+    def root_logger(self):
+        """The root logger, with its level and handlers put back after the test."""
+        root = logging.getLogger()
+        level, handlers = root.level, root.handlers[:]
+        yield root
+        root.setLevel(level)
+        root.handlers[:] = handlers
+
+    def test_log_env_accepted(self, capsys, feeder_path, monkeypatch, root_logger):
         monkeypatch.setenv("FAIRHC_LOG", "DEBUG")
         assert main(["validate", feeder_path]) == EXIT_OK
+
+    def test_log_env_sets_the_level_of_a_configured_root(self, capsys, feeder_path, monkeypatch, root_logger):
+        # a program that configured logging before calling main in-process: basicConfig does nothing there
+        root_logger.addHandler(logging.NullHandler())
+        root_logger.setLevel(logging.WARNING)
+        monkeypatch.setenv("FAIRHC_LOG", "INFO")
+        assert main(["validate", feeder_path]) == EXIT_OK
+        assert root_logger.level == logging.INFO
 
     @pytest.mark.parametrize("value", ["basic_format", "no_such_level", "info"])
     def test_log_env_sets_only_a_level(self, feeder_path, tmp_path, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from fairhc.netmodel import (
     to_per_unit,
     z_base_ohm,
 )
-from fairhc.synth import SynthSpec, generate_feeder
+from fairhc.synth import Conductor, SynthSpec, generate_feeder
 
 from conftest import feeder_dict
 
@@ -59,7 +60,7 @@ class TestParseFeeder:
         feeder = parse_feeder(json.dumps(feeder_dict()))
         assert feeder.slack_id == "slack"
         assert feeder.s_base == 100.0
-        assert feeder.bus("a").v_max == 1.05
+        assert {b.id: b for b in feeder.buses}["a"].v_max == 1.05
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -240,6 +241,53 @@ def test_non_finite_numbers_rejected(path, name, bad):
         parse_feeder(json.dumps(doc))
 
 
+# a valid record of every class whose fields may declare a range, and the name its messages start with
+RECORDS = {
+    Bus: (Bus("a", "load"), "bus 'a'"),
+    Line: (_line("a", "b"), "line 'a'-'b'"),
+    GridConnection: (GridConnection("slack", 1e5, 1e5), "grid connection"),
+    Load: (Load("a", 2.0, 0.5), "load at 'a'"),
+    Feeder: (parse_feeder(json.dumps(feeder_dict())), "feeder"),
+    Conductor: (Conductor(), "conductor"),
+    SynthSpec: (SynthSpec(3, "branched", 100.0), "synth spec"),
+}
+# every declared range: (class, field, op, bound)
+RANGES = [(cls, f.name, *f.metadata["range"]) for cls in RECORDS for f in dataclasses.fields(cls)
+          if "range" in f.metadata]
+
+
+def test_every_record_of_the_format_has_a_valid_example():
+    assert set(_FORMAT) <= set(RECORDS)
+
+
+def test_every_example_record_declares_a_range():
+    assert {cls for cls, *_ in RANGES} == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls, name, op, bound", RANGES, ids=[f"{c.__name__}.{n}" for c, n, *_ in RANGES])
+def test_value_just_outside_a_declared_range_is_rejected(cls, name, op, bound):
+    record, where = RECORDS[cls]
+    if op == "in":
+        value, message = "no_such_choice", f"{where}: unknown {name} 'no_such_choice'"
+    else:
+        value = bound if op == ">" else math.nextafter(bound, -math.inf)
+        message = f"{where}: {name} must be {op} {bound:g}"
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(record, **{name: value})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cls, name, op, bound", RANGES, ids=[f"{c.__name__}.{n}" for c, n, *_ in RANGES])
+def test_value_at_or_just_inside_a_declared_range_is_accepted(cls, name, op, bound):
+    record, _ = RECORDS[cls]
+    if op == "in":
+        values = bound
+    else:
+        values = (math.nextafter(bound, math.inf),) if op == ">" else (bound, math.nextafter(bound, math.inf))
+    for value in values:
+        assert getattr(dataclasses.replace(record, **{name: value}), name) == value
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 # ---------------------------------------------------------------------------
@@ -324,14 +372,34 @@ class TestFeederValidation:
         with pytest.raises(ValidationError, match="^feeder must have at least one load$"):
             _feeder([Bus("slack", "slack"), Bus("a", "junction")], [_line("slack", "a")], [])
 
+    def test_duplicate_bus_ids(self):
+        with pytest.raises(ValidationError, match="^duplicate bus ids$"):
+            _feeder([Bus("slack", "slack"), Bus("a", "load"), Bus("a", "junction")],
+                    [_line("slack", "a"), _line("slack", "a", r=0.01)], [Load("a", 1.0, 0.0)])
+
+    def test_line_to_an_unknown_bus(self):
+        with pytest.raises(ValidationError, match="^line references unknown bus 'ghost'$"):
+            _feeder([Bus("slack", "slack"), Bus("a", "load")], [_line("slack", "ghost")],
+                    [Load("a", 1.0, 0.0)])
+
+    def test_load_at_an_unknown_bus(self):
+        with pytest.raises(ValidationError, match="^load references unknown bus 'ghost'$"):
+            _feeder([Bus("slack", "slack"), Bus("a", "load")], [_line("slack", "a")],
+                    [Load("a", 1.0, 0.0), Load("ghost", 1.0, 0.0)])
+
+    def test_duplicate_load(self):
+        with pytest.raises(ValidationError, match="^duplicate load at bus 'a'$"):
+            _feeder([Bus("slack", "slack"), Bus("a", "load")], [_line("slack", "a")],
+                    [Load("a", 1.0, 0.0), Load("a", 2.0, 0.0)])
+
+    @pytest.mark.parametrize("dtheta_min", [0.0, 0.1])
+    def test_nonnegative_dtheta_min(self, dtheta_min):
+        with pytest.raises(ValidationError, match=r"^bus 'a': require dtheta_min < 0 < dtheta_max$"):
+            Bus("a", "load", dtheta_min=dtheta_min)
+
     def test_self_loop(self):
         with pytest.raises(ValidationError):
             _line("a", "a")
-
-    def test_unknown_bus_lookup(self):
-        feeder = parse_feeder(json.dumps(feeder_dict()))
-        with pytest.raises(UnknownBus):
-            feeder.bus("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The README's examples stay runnable: every ``fairhc`` command line of the
 CLI block parses, the quick-start block runs, the file-format section names
-every key that the parser accepts, and the package layout lists every module
-and names only constants that exist."""
+every key that the parser accepts and states every declared range, and the
+package layout lists every module and names only constants that exist."""
+import dataclasses
 import importlib
 import re
 import shlex
@@ -45,6 +46,23 @@ def test_format_section_names_every_key():
     named = set(re.findall(r"\w+", section))
     keys = {key for table in _FORMAT.values() for key in table}
     assert keys <= named, sorted(keys - named)
+
+
+def test_format_section_states_every_range():
+    """Each key whose field declares a range appears in a clause such as
+    "`x_ohm` and `p_kw` ≥ 0", and no clause states a range that is not declared."""
+    section = README.split("## Feeder file format")[1].split("\n## ")[0]
+    stated = {key: f"{op} {bound}" for keys, op, bound in
+              re.findall(r"((?:`\w+`(?:,|\s+and)?\s+)+)(>|≥) (\d+)", section)
+              for key in re.findall(r"`(\w+)`", keys)}
+    declared = {}
+    for cls, table in _FORMAT.items():
+        ranges = {f.name: f.metadata["range"] for f in dataclasses.fields(cls) if "range" in f.metadata}
+        for key, (name, _) in table.items():
+            op, bound = ranges.get(name, ("in", None))
+            if op != "in":
+                declared[key] = f"{'≥' if op == '>=' else op} {bound:g}"
+    assert stated == declared
 
 
 def test_package_layout_lists_every_module():
