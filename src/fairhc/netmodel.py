@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
@@ -29,18 +30,23 @@ NON_NEGATIVE = {"range": (">=", 0.0)}
 
 @cache
 def _rules(cls) -> tuple[tuple[str, str, object], ...]:
-    """(name, op, bound) of each field of a record class that declares a range, and
-    (name, ">", -inf) of every other field annotated ``float`` or ``int``."""
-    return tuple((f.name, *f.metadata.get("range", (">", -math.inf))) for f in fields(cls)
+    """(name, type, op, bound) of each field of a record class that declares a range, and
+    (name, type, ">", -inf) of every other field annotated ``float`` or ``int``."""
+    return tuple((f.name, f.type, *f.metadata.get("range", (">", -math.inf))) for f in fields(cls)
                  if "range" in f.metadata or f.type in ("float", "int"))
 
 
 def check_fields(record, where: str) -> None:
-    """Reject a NaN or infinite number field of ``record`` and a field outside its declared
-    range; ``where``, formatted with the record (``"bus {0.id!r}"``), starts the message."""
+    """Reject a NaN or infinite number field of ``record``, a non-integer ``int`` one and a field outside
+    its declared range; ``where``, formatted with the record (``"bus {0.id!r}"``), starts the message."""
     values = vars(record)
-    for name, op, bound in _rules(type(record)):
+    for name, kind, op, bound in _rules(type(record)):
         value = values[name]
+        if kind == "int":
+            try:
+                operator.index(value)  # NumPy integers pass, 2.0 does not
+            except TypeError:
+                raise ValidationError(f"{where.format(record)}: {name} must be an integer") from None
         if op == "in":
             if value not in bound:
                 raise ValidationError(f"{where.format(record)}: unknown {name} {value!r}")

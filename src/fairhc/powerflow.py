@@ -10,23 +10,26 @@ leaf-first order, reading the diagonal blocks as per-bus sums of the partials
 and the off-diagonal ones straight from them; no Jacobian is ever assembled.
 
 The Newton core is batched, bus before batch: B injection vectors are solved
-together as states (n, B), flows (2, 2L, B) and partials (2, 2, 2, 2L, B), so
-gathers select rows.  A NumPy step sums the flows into the mismatch by
-``plan.inc.T @ flows``, and the partials into the diagonal blocks the same way
-for a batch and by ``np.bincount`` for one point; the slack's P and Q add its
-own flows.  Points drop out of the batch as they finish.  :func:`_solve_batch`
-picks the way once per call, from the number of points and buses.  Two or more
-points eliminate over (B,) rows at every step (:func:`_tree_solve`).  A point's
+together as states and mismatches (2, n, B), flows (2, 2L, B) and partials
+(2, 2, 2, 2L, B), so gathers select rows.  Every path keeps that one per-bus
+layout, with the slack's mismatch and step rows at zero.  A NumPy step sums the
+flows into the mismatch by ``plan.inc.T @ flows``, and the partials into the
+diagonal blocks the same way for a batch and by ``np.bincount`` for one point;
+the slack's P and Q add its own flows.  Points drop out of the batch as they
+finish.  :func:`_solve_batch` picks the way once per call, from the number of
+points and buses.  Two or more points eliminate over (B,) rows at every step
+(:func:`_tree_solve`).  A point's
 results then hold the same bits whatever its batchmates, except through the
 steps it takes alone, as far as NumPy's matmul sums two or more columns alike
 (measured, not promised).  A one-point call on a feeder below
 ``TREE_MIN_BUSES`` buses runs whole in Python floats (:func:`_solve_point`),
 every step from per-line constants in the plan with no NumPy call in the loop.
 From ``TREE_MIN_BUSES`` buses the NumPy partials win, and a one-point step
-eliminates them in floats (:func:`_chain_step`); the adjoint's transposed solve
-chooses alike.  Both ways add in the same order, so a one-point flow and its
-adjoint hold the same bits on either side of ``TREE_MIN_BUSES`` (measured on
-random trees).  The public single-shot API wraps batch size 1.
+eliminates them in floats (:func:`_chain_step`).  The adjoint chooses alike how
+to build its blocks and right-hand side, then runs one transposed elimination.
+Both ways add in the same order, so a one-point flow and its adjoint hold the
+same bits on either side of ``TREE_MIN_BUSES`` (measured on random trees).  The
+public single-shot API wraps batch size 1.
 
 ``_residual_blocks`` is the one place that sets the order of the constraint vector;
 :class:`ConstraintResiduals`, the adjoint weights and the labels follow it.
@@ -49,10 +52,10 @@ _V_FLOOR = 1e-6  # below this a point is declared diverged
 # Buses from which a one-point Newton step, and the adjoint, build their flows and
 # partials in NumPy rather than in Python floats.  Measured crossover for a power flow
 # plus its adjoint, synthetic feeders, 2-core Xeon, one BLAS thread: 41-46 buses at two
-# Newton steps per flow, 45-53 at four.  Below it the adjoint keeps its own float
-# right-hand side (:func:`_adjoint_point`): through :func:`_chain_step` an adjoint took
-# 77-97 us against 37-60 us at 6-11 buses, and the benchmark's policy_mix and
-# frontier_cli ran 14-16 % longer end to end.
+# Newton steps per flow, 45-53 at four.  Below it the adjoint builds its right-hand side in
+# floats too (in :func:`adjoint_gradient`): from the NumPy partials an adjoint took 77-97 us
+# against 37-60 us at 6-11 buses, and the benchmark's policy_mix and frontier_cli ran
+# 14-16 % longer end to end.
 TREE_MIN_BUSES = 48
 
 
@@ -118,20 +121,18 @@ def residual_labels(nf: NormalizedFeeder) -> list[str]:
 class FeederPlan(NamedTuple):
     """Index arrays of a feeder's power-flow equations, built once per feeder.
 
-    The state is ``(theta[ns], v[ns])`` and the mismatch rows are
-    ``(P[ns], Q[ns])``.  Oriented flow ``k < L`` is line ``k`` measured at its
+    The state and the mismatch are per bus, ``(theta, V)`` and ``(P, Q)`` of shape (2, n, B)
+    with the slack's rows at zero.  Oriented flow ``k < L`` is line ``k`` measured at its
     from-bus; flow ``L + k`` is the same line measured at its to-bus.
     """
 
-    ns: np.ndarray  # (m,) non-slack buses in state order
-    pos: np.ndarray  # (n,) state position of each bus, -1 at the slack
     at: np.ndarray  # (2L,) bus where each oriented flow is measured
     other: np.ndarray  # (2L,) bus at the far end
     rev: np.ndarray  # (2L,) the same line measured at the other end, (k + L) % 2L
     g: np.ndarray  # (2, 2L, 1) the conductance in P's row, -b in Q's
     inc: np.ndarray  # (2L, n) 0/1; ``inc.T @ flows`` sums the flows into their measuring bus
     rhs_at: np.ndarray  # (n + 4L,) slots of the adjoint's right-hand side, theta rows then V rows, in the
-    # order :func:`_adjoint_point` adds: the V start values, then each flow's (measuring, far) ends in theta, in V
+    # order the float adjoint adds them: the V start values, then each flow's (measuring, far) ends in theta, in V
     chain: list  # :func:`_eliminate`'s order, four lists of Python ints: the non-slack buses stably
     # sorted by height, so each comes after its children and a parent's children keep breadth-first
     # order; each one's parent; the flow measured at it towards its parent; that flow's reverse
@@ -141,9 +142,6 @@ class FeederPlan(NamedTuple):
 def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     """Plan of ``nf``; read it through the cached ``nf.plan``.  Assumes a tree."""
     n, L = nf.n_bus, nf.n_line
-    ns = np.flatnonzero(np.arange(n) != nf.slack)
-    pos = np.full(n, -1)
-    pos[ns] = np.arange(len(ns))
     at = np.concatenate([nf.from_bus, nf.to_bus])
     other = np.concatenate([nf.to_bus, nf.from_bus])
     inc = np.zeros((2 * L, n))
@@ -166,7 +164,7 @@ def build_plan(nf: NormalizedFeeder) -> FeederPlan:
     chain = [a.tolist() for a in (kids, parent[kids], up[kids], rev[up[kids]])]
     g = np.tile([nf.g, -nf.b], 2)[..., None]
     lines = list(zip(*(a.tolist() for a in (nf.from_bus, nf.to_bus, nf.g, -nf.b, 2.0 * nf.g, -2.0 * nf.b))))
-    return FeederPlan(ns, pos, at, other, rev, g, inc, rhs_at, chain, lines)
+    return FeederPlan(at, other, rev, g, inc, rhs_at, chain, lines)
 
 
 def _ends(plan: FeederPlan, v, theta):
@@ -291,39 +289,38 @@ def _eliminate(chain, diag, far, rhs, transpose=False):
 
 
 def _tree_solve(plan: FeederPlan, d, F):
-    """Newton steps ``dx`` (2m, B) solving ``J dx = -F`` for B states by one :func:`_eliminate`
-    over (B,) rows, and which points are singular; those get ``dx = 0``.  The elimination is
-    elementwise over the rows; the nodal sums are matmuls, which on the NumPy and OpenBLAS
-    builds measured rounded alike for 2 to 300 columns, and otherwise for one."""
-    B, n, m = F.shape[-1], len(plan.pos), len(plan.ns)
+    """Newton steps ``dx`` (2, n, B) solving ``J dx = -F`` for B states by one :func:`_eliminate`
+    over (B,) rows, and which points are singular; those get ``dx = 0``, as the slack's rows do.
+    The elimination is elementwise over the rows; the nodal sums are matmuls, which on the NumPy
+    and OpenBLAS builds measured rounded alike for 2 to 300 columns, and otherwise for one."""
     # row-major blocks from the partials' entry-first (theta/V column, P/Q row) layout; the
-    # slack's diagonal block absorbs its children's updates unread
+    # slack's diagonal block and right-hand side absorb its children's updates unread
     diag, far = (list(zip(a[0, 0], a[1, 0], a[0, 1], a[1, 1])) for a in (plan.inc.T @ d[0], d[1]))
-    r = np.zeros((2, n, B))
-    r[:, plan.ns] = -F.reshape(2, m, B)
-    x = _eliminate(plan.chain, diag, far, [list(r[0]), list(r[1])])
-    singular = np.any([diag[k][-1] == 0 for k in plan.chain[0]], axis=0)  # a pivot's determinant is 0
-    dx = np.array([z[k] for z in x for k in plan.ns.tolist()])
-    dx[:, singular] = 0.0
+    x, kids = _eliminate(plan.chain, diag, far, [list(r) for r in -F]), plan.chain[0]
+    singular = np.any([diag[k][-1] == 0 for k in kids], axis=0)  # a pivot's determinant is 0
+    dx = np.zeros_like(F)
+    dx[:, kids] = [[z[k] for k in kids] for z in x]  # (B,) rows; the slack's entries are the float 0.0
+    dx[..., singular] = 0.0
     return dx, singular
 
 
-def _chain_step(plan: FeederPlan, d, F, transpose=False):
-    """``(dx, singular)`` at one point: the step ``dx`` (2m, 1) solving ``J dx = -F``, or
-    ``J.T dx = -F``, by :func:`_eliminate` in Python floats from NumPy partials, and whether
-    the system is singular; a singular one gets ``dx = 0``."""
-    n, m = len(plan.pos), len(plan.ns)
-    # per-bus sums of the measuring-end partials, in flow order, then entry first (theta/V
-    # column, P/Q row) to row-major blocks
+def _point_blocks(plan: FeederPlan, d):
+    """One point's ``(diag, far)`` for :func:`_eliminate` in floats from NumPy partials: per-bus
+    sums of the measuring-end partials in flow order, and the far-end ones, as row-major blocks."""
+    n = plan.inc.shape[1]
     sums = np.stack([np.bincount(plan.at, x, n) for x in d[0, ..., 0].reshape(4, -1)])
     diag = sums.reshape(2, 2, n).transpose(2, 1, 0).reshape(-1, 4).tolist()
-    far = d[1, ..., 0].transpose(2, 1, 0).reshape(-1, 4).tolist()
-    rhs = np.zeros((2, n))
-    rhs[:, plan.ns] = -F.reshape(2, m)
-    x = _eliminate(plan.chain, diag, far, rhs.tolist(), transpose)
+    return diag, d[1, ..., 0].transpose(2, 1, 0).reshape(-1, 4).tolist()
+
+
+def _chain_step(plan: FeederPlan, d, F):
+    """``(dx, singular)`` at one point: the step ``dx`` (2, n, 1) solving ``J dx = -F`` by
+    :func:`_eliminate` in Python floats from NumPy partials, and whether the system is singular;
+    a singular one gets ``dx = 0``."""
+    x = _eliminate(plan.chain, *_point_blocks(plan, d), (-F[..., 0]).tolist())
     if x is None:
         return np.zeros_like(F), np.ones(1, dtype=bool)
-    return np.array(x)[:, plan.ns].reshape(2 * m, 1), np.zeros(1, dtype=bool)
+    return np.array(x)[..., None], np.zeros(1, dtype=bool)
 
 
 class _BatchResult(NamedTuple):
@@ -355,8 +352,7 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     turned singular or hit ``PF_MAX_ITER``; ``mismatch`` its last finite mismatch.
     """
     plan = nf.plan
-    ns = plan.ns
-    B, n, L, m = dg.shape[0], nf.n_bus, nf.n_line, len(ns)
+    B, n, L = dg.shape[0], nf.n_bus, nf.n_line
     if B == 1 and n < TREE_MIN_BUSES:
         return _solve_point(nf, dg[0], tol, start)
     inj = np.zeros((2, n, B))
@@ -377,16 +373,16 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
     # The undecided points, compacted whenever one leaves: when it converges,
     # diverges or hits PF_MAX_ITER, and one step after its Jacobian turned out
     # singular (its state unchanged).  A point's results are written as it leaves.
-    idx, inj_a, last, sing = np.arange(B), inj[:, ns].reshape(2 * m, B), mismatch.copy(), singular.copy()
+    idx, inj_a, last, sing = np.arange(B), inj, mismatch.copy(), singular.copy()
     with np.errstate(all="ignore"):
         for it in range(PF_MAX_ITER + 1):
             ends = _ends(plan, va, ta)
             flows = _flows(plan, ends)
-            F = (plan.inc.T @ flows)[:, ns].reshape(2 * m, -1) - inj_a
-            # NaN or inf where F is not finite
-            mis = np.abs(F).max(axis=0) if m > 0 else np.zeros(len(idx))
+            F = plan.inc.T @ flows - inj_a
+            F[:, nf.slack] = 0.0  # the slack's rows are not equations
+            mis = np.abs(F).max(axis=(0, 1))  # NaN or inf where F is not finite
             finite = np.isfinite(mis)
-            bad = ~finite | (va[ns].min(axis=0) < _V_FLOOR)
+            bad = ~finite | (va.min(axis=0) < _V_FLOOR)  # the slack's V is 1
             last = np.where(finite, mis, last)
             conv = ~bad & (mis < tol)
             leave = conv | bad | sing | (it == PF_MAX_ITER)
@@ -400,8 +396,8 @@ def _solve_batch(nf: NormalizedFeeder, dg: np.ndarray, tol: float = PF_TOL,
             if len(idx) == 0:
                 break
             dx, sing = step(plan, _flow_partials(plan, ends), F)
-            ta[ns] += dx[:m]
-            va[ns] += dx[m:]
+            ta += dx[0]
+            va += dx[1]
 
         # the slack's own flows in flow order, as _solve_point adds them
         p_slack, q_slack = sum((pq[:, k] for k in np.flatnonzero(plan.at == nf.slack)), np.zeros((2, B)))
@@ -527,7 +523,9 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
 
     One transposed-Jacobian solve at the converged state; ``weights`` follows
     the :meth:`ConstraintResiduals.as_vector` ordering.  A pre-solved ``state``
-    at the same ``dg`` may be passed to skip the embedded power flow.
+    at the same ``dg`` may be passed to skip the embedded power flow.  The blocks and
+    right-hand side come in floats from :func:`_point_terms` below ``TREE_MIN_BUSES``
+    buses, else from the NumPy partials; then one :func:`_eliminate` solves ``J.T``.
     """
     dg = np.asarray(dg, dtype=float)
     if state is None:
@@ -548,36 +546,27 @@ def adjoint_gradient(nf: NormalizedFeeder, dg: np.ndarray, weights: np.ndarray,
     c_p = -2.0 * w_th * np.concatenate([state.p_flow, state.p_flow_rev]) + w_ps * at_slack
     c_q = -2.0 * w_th * np.concatenate([state.q_flow, state.q_flow_rev]) + w_qs * at_slack
     angle = w_ang[plan.rev] - w_ang  # angle margins on theta_from - theta_to
-    if n < TREE_MIN_BUSES:
-        lam = _adjoint_point(nf, state, c_p, c_q, angle, w_vl - w_vu)
-        if lam is None:
-            raise SingularJacobian("adjoint system is singular")
-        return np.array(lam)[nf.load_bus]
-    d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
-    dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
-    dw[0, 0] += angle
-    terms = np.concatenate((w_vl - w_vu, dw.transpose(1, 2, 0).ravel()))  # in plan.rhs_at's order
-    rhs = np.bincount(plan.rhs_at, terms, 2 * n).reshape(2, n)
-    lam, singular = _chain_step(plan, d, -rhs.take(plan.ns, axis=1).reshape(-1, 1), transpose=True)
-    if singular[0]:
+    # the right-hand side, the weighted residuals' gradient w.r.t. the state: each flow's weighted
+    # partials land on both its ends, the far end's theta partials the measuring end's negated
+    if n < TREE_MIN_BUSES:  # in Python floats
+        _, _, own, far, _, _, diag = _point_terms(plan, state.v.tolist(), state.theta.tolist())
+        R0, R1 = [0.0] * n, (w_vl - w_vu).tolist()
+        for a, o, (o0, o1, o2, o3), (_, f1, _, f3), cp, cq, ang in zip(
+                plan.at.tolist(), plan.other.tolist(), own, far, c_p.tolist(), c_q.tolist(), angle.tolist()):
+            t0 = cp * o0 + cq * o2
+            R0[a] += t0 + ang
+            R1[a] += cp * o1 + cq * o3
+            R0[o] -= t0
+            R1[o] += cp * f1 + cq * f3
+        rhs = [R0, R1]
+    else:  # from the NumPy partials, summed in the same order
+        d = _flow_partials(plan, _ends(plan, state.v[:, None], state.theta[:, None]))
+        dw = c_p * d[:, :, 0, :, 0] + c_q * d[:, :, 1, :, 0]  # (measuring end, far end) x (theta, v)
+        dw[0, 0] += angle
+        terms = np.concatenate((w_vl - w_vu, dw.transpose(1, 2, 0).ravel()))  # in plan.rhs_at's order
+        rhs = np.bincount(plan.rhs_at, terms, 2 * n).reshape(2, n).tolist()
+        diag, far = _point_blocks(plan, d)
+    x = _eliminate(plan.chain, diag, far, rhs, transpose=True)
+    if x is None:
         raise SingularJacobian("adjoint system is singular")
-    return lam.take(plan.pos.take(nf.load_bus))  # lam is one column
-
-
-def _adjoint_point(nf: NormalizedFeeder, state: PowerFlowState, c_p, c_q, angle, v_rhs):
-    """The P entries, per bus, of the adjoint solution of :func:`adjoint_gradient` in Python floats
-    (the slack's is 0), or None where ``J.T`` is singular.  The right-hand side is the gradient of
-    the weighted residuals w.r.t. the state: each flow's weighted partials land on both its ends,
-    and the far end's theta partials are the measuring end's negated."""
-    plan = nf.plan
-    _, _, own, far, _, _, diag = _point_terms(plan, state.v.tolist(), state.theta.tolist())
-    R0, R1 = [0.0] * nf.n_bus, v_rhs.tolist()
-    for a, o, (o0, o1, o2, o3), (_, f1, _, f3), cp, cq, ang in zip(
-            plan.at.tolist(), plan.other.tolist(), own, far, c_p.tolist(), c_q.tolist(), angle.tolist()):
-        t0 = cp * o0 + cq * o2
-        R0[a] += t0 + ang
-        R1[a] += cp * o1 + cq * o3
-        R0[o] -= t0
-        R1[o] += cp * f1 + cq * f3
-    x = _eliminate(plan.chain, diag, far, [R0, R1], transpose=True)
-    return None if x is None else x[0]
+    return np.array(x[0])[nf.load_bus]

@@ -149,6 +149,9 @@ def topology_experiment(linear_spec: SynthSpec, branched_spec: SynthSpec) -> Top
         raise ValidationError("specs must have equal n_loads")
     if abs(linear_spec.total_length_m - branched_spec.total_length_m) > 1e-6:
         raise ValidationError("specs must have equal total conductor length")
+    for name in ("conductor", "load_p_kw", "load_q_kvar", "dg_cap_kw"):  # the layout and lengths alone may differ
+        if getattr(linear_spec, name) != getattr(branched_spec, name):
+            raise ValidationError(f"specs must have equal {name}")
     lin = _evaluate(linear_spec)
     bra = _evaluate(branched_spec)
     return TopologyReport(linear=lin, branched=bra, pof_gap=lin.pof_egal - bra.pof_egal)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -255,6 +256,19 @@ def test_non_finite_synth_option_exits_2(capsys, command, flag, value):
     assert main([command, "--n-loads", "2", f"{flag}={value}"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "must be finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+def test_synth_flag_defaults_are_the_spec_defaults(command):
+    """Every SynthSpec and Conductor field that has a default gets it from the flags' defaults."""
+    spec = fairhc.cli._spec(fairhc.cli.build_parser().parse_args([command]), "linear")
+    checked = []
+    for record in (spec, spec.conductor):
+        for f in dataclasses.fields(record):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(record, f.name) == f.default, f.name
+                checked.append(f.name)
+    assert len(checked) == 7, checked
 
 
 class TestExperimentCommand:

@@ -264,13 +264,21 @@ def test_every_example_record_declares_a_range():
     assert {cls for cls, *_ in RANGES} == set(RECORDS)
 
 
+def next_value(cls, name, bound, direction):
+    """The value of field ``name`` next to ``bound`` in ``direction`` (+1 or -1): the next
+    float, or the next integer for a field annotated ``int``."""
+    if {f.name: f.type for f in dataclasses.fields(cls)}[name] == "int":
+        return bound + direction
+    return math.nextafter(bound, direction * math.inf)
+
+
 @pytest.mark.parametrize("cls, name, op, bound", RANGES, ids=[f"{c.__name__}.{n}" for c, n, *_ in RANGES])
 def test_value_just_outside_a_declared_range_is_rejected(cls, name, op, bound):
     record, where = RECORDS[cls]
     if op == "in":
         value, message = "no_such_choice", f"{where}: unknown {name} 'no_such_choice'"
     else:
-        value = bound if op == ">" else math.nextafter(bound, -math.inf)
+        value = bound if op == ">" else next_value(cls, name, bound, -1)
         message = f"{where}: {name} must be {op} {bound:g}"
     with pytest.raises(ValidationError) as err:
         dataclasses.replace(record, **{name: value})
@@ -283,7 +291,7 @@ def test_value_at_or_just_inside_a_declared_range_is_accepted(cls, name, op, bou
     if op == "in":
         values = bound
     else:
-        values = (math.nextafter(bound, math.inf),) if op == ">" else (bound, math.nextafter(bound, math.inf))
+        values = (next_value(cls, name, bound, 1),) if op == ">" else (bound, next_value(cls, name, bound, 1))
     for value in values:
         assert getattr(dataclasses.replace(record, **{name: value}), name) == value
 

@@ -15,6 +15,7 @@ from fairhc.powerflow import (
     TREE_MIN_BUSES,
     ConstraintResiduals,
     PowerFlowState,
+    _chain_step,
     _eliminate,
     _ends,
     _flow_partials,
@@ -217,26 +218,33 @@ def loop_jacobian(nf, v, theta):
     return J
 
 
-def blocks_jacobian(plan, diag, far):
+def non_slack(nf):
+    """The non-slack buses in bus order: the rows and columns of a dense reference Jacobian."""
+    return np.flatnonzero(np.arange(nf.n_bus) != nf.slack)
+
+
+def blocks_jacobian(nf, diag, far):
     """Dense Jacobian from row-major 2x2 blocks: ``diag`` one per bus, ``far`` one per
     oriented flow, in the (P, Q) x (theta, V) layout that :func:`_eliminate` reads."""
-    m = len(plan.ns)
+    ns, plan = non_slack(nf), nf.plan
+    m, pos = len(ns), np.full(nf.n_bus, -1)
+    pos[ns] = np.arange(m)
     J = np.zeros((2 * m, 2 * m))
     rows = [(bus, bus, blk) for bus, blk in enumerate(diag)]
     rows += [(a, o, blk) for a, o, blk in zip(plan.at.tolist(), plan.other.tolist(), far)]
     for r, c, (a, b, cc, d) in rows:
-        i, j = plan.pos[r], plan.pos[c]
+        i, j = pos[r], pos[c]
         if i >= 0 and j >= 0:
             J[[i, i, m + i, m + i], [j, m + j, j, m + j]] += [a, b, cc, d]
     return J
 
 
-def dense_jacobian(plan, d, b):
+def dense_jacobian(nf, d, b):
     """Point ``b``'s dense Jacobian from NumPy partials, the diagonal blocks summed per bus."""
     own, far = (d[e][..., b].transpose(2, 1, 0).reshape(-1, 4) for e in (0, 1))
-    diag = np.zeros((len(plan.pos), 4))
-    np.add.at(diag, plan.at, own)
-    return blocks_jacobian(plan, diag.tolist(), far.tolist())
+    diag = np.zeros((nf.n_bus, 4))
+    np.add.at(diag, nf.plan.at, own)
+    return blocks_jacobian(nf, diag.tolist(), far.tolist())
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -251,9 +259,9 @@ def test_jacobian_matches_line_loop(seed):
     d = _flow_partials(plan, _ends(plan, v.T, theta.T))
     for i in range(3):
         want = loop_jacobian(nf, v[i], theta[i])
-        assert dense_jacobian(plan, d, i) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert dense_jacobian(nf, d, i) == pytest.approx(want, rel=1e-12, abs=1e-12)
         *_, far, _, _, diag = _point_terms(plan, v[i].tolist(), theta[i].tolist())
-        assert blocks_jacobian(plan, diag, far) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert blocks_jacobian(nf, diag, far) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -281,7 +289,7 @@ def test_warm_start_converges_to_flat_state_in_fewer_steps(seed):
     nf = random_tree(rng)
     dg = rng.uniform(0.2, 1.0, size=(4, nf.n_loads))
     flat = _solve_batch(nf, dg)
-    ns = nf.plan.ns
+    ns = non_slack(nf)
     v, theta = flat.v.copy(), flat.theta.copy()
     v[:, ns] += rng.uniform(-1e-5, 1e-5, size=(4, len(ns)))
     theta[:, ns] += rng.uniform(-1e-5, 1e-5, size=(4, len(ns)))
@@ -446,17 +454,22 @@ def one_point_calls(nf, dg, start=None):
     return type(rows[0])(*(np.concatenate(fields) for fields in zip(*rows)))
 
 
-def lapack_steps(plan, d, F):
-    """:func:`_tree_solve`'s ``(dx, singular)`` by LAPACK: one 2-D solve per point on its dense
-    Jacobian (``dense_jacobian``), whose ``LinAlgError`` marks the point singular."""
-    dx, singular = np.zeros_like(F), np.zeros(F.shape[-1], dtype=bool)
-    for i in range(F.shape[-1]):
-        J = dense_jacobian(plan, d, i)
-        try:
-            dx[:, i:i + 1] = np.linalg.solve(J, -F[:, i:i + 1])
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return dx, singular
+def lapack_steps(nf):
+    """A stand-in for :func:`_tree_solve` or :func:`_chain_step` on ``nf`` that finds ``(dx, singular)``
+    by LAPACK: one 2-D solve per point on its dense Jacobian (``dense_jacobian``) over the non-slack
+    rows, whose ``LinAlgError`` marks the point singular."""
+    ns = non_slack(nf)
+
+    def step(plan, d, F):
+        dx, singular = np.zeros_like(F), np.zeros(F.shape[-1], dtype=bool)
+        for i in range(F.shape[-1]):
+            J = dense_jacobian(nf, d, i)
+            try:
+                dx[:, ns, i] = np.linalg.solve(J, -F[:, ns, i].reshape(-1, 1)).reshape(2, -1)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return dx, singular
+    return step
 
 
 def assert_tree_matches_dense(nf, dg, start=None):
@@ -469,7 +482,7 @@ def assert_tree_matches_dense(nf, dg, start=None):
     solver.  Returns the batch's results."""
     assert len(dg) >= 2
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(powerflow, "_tree_solve", lapack_steps)
+        mp.setattr(powerflow, "_tree_solve", lapack_steps(nf))
         dense = _solve_batch(nf, dg, start=start)
     tree = _solve_batch(nf, dg, start=start)
     stopped = dense.iterations < PF_MAX_ITER
@@ -615,12 +628,12 @@ def test_tree_elimination_reads_the_partials_in_place(monkeypatch):
     monkeypatch.setattr(powerflow, "_flow_partials", partials)
     monkeypatch.setattr(powerflow, "_tree_solve", tree)
     nf = synth_feeder("branched", 3, dg_cap_kw=60.0)  # the oracle_grid benchmark feeder
-    m, L = len(nf.plan.ns), nf.n_line
+    n, L = nf.n_bus, nf.n_line
     _solve_batch(nf, _grid_block(build_problem(nf, FairnessPolicy.utilitarian()), 101, 0, 101**2))
     assert seen and seen[0][0][-1] == 101**2
     for d_shape, F_shape, contiguous, shared in seen:
         B = F_shape[-1]
-        assert F_shape == (2 * m, B) and d_shape == (2, 2, 2, 2 * L, B)
+        assert F_shape == (2, n, B) and d_shape == (2, 2, 2, 2 * L, B)
         assert contiguous and shared
 
 
@@ -703,7 +716,7 @@ def test_float_point_leaves_a_non_finite_start_like_its_batch_row(bad):
     nf = random_tree(rng, 9)
     dg = rng.uniform(0.0, 1.0, size=(2, nf.n_loads))
     v, theta = np.ones((2, nf.n_bus)), np.zeros((2, nf.n_bus))
-    bus = int(nf.plan.ns[3])
+    bus = int(non_slack(nf)[3])
     if bad == "theta_inf":
         theta[:, bus] = np.inf
     elif bad == "theta_nan":
@@ -743,7 +756,7 @@ def test_scalar_elimination_matches_dense_on_large_feeders(monkeypatch, layout, 
     tree = _solve_batch(nf, dg)
     chain = one_point_calls(nf, dg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(powerflow, "_chain_step", lapack_steps)
+        mp.setattr(powerflow, "_chain_step", lapack_steps(nf))
         dense = one_point_calls(nf, dg)
     monkeypatch.setattr(powerflow, "TREE_MIN_BUSES", nf.n_bus + 1)
     floats = one_point_calls(nf, dg)
@@ -782,35 +795,39 @@ def tree_case(nf, rng, B=7):
     v = rng.uniform(0.9, 1.1, size=(nf.n_bus, B))
     theta = rng.uniform(-0.1, 0.1, size=(nf.n_bus, B))
     d = _flow_partials(nf.plan, _ends(nf.plan, v, theta))
-    return d, rng.normal(size=(2 * len(nf.plan.ns), B))
+    return d, random_mismatch(nf, rng, B)
+
+
+def random_mismatch(nf, rng, B):
+    """Mismatches (2, n, B) of B points, normal on the non-slack rows and 0.0 on the slack's."""
+    ns, F = non_slack(nf), np.zeros((2, nf.n_bus, B))
+    F[:, ns] = rng.normal(size=(2 * len(ns), B)).reshape(2, len(ns), B)
+    return F
 
 
 def scalar_steps(plan, d, F, transpose=False):
-    """Each point's step by _eliminate in Python floats, fed the diagonal blocks the
+    """Each point's step (2, n) by _eliminate in Python floats, fed the diagonal blocks the
     row mode sums for the whole batch: the nodal sums round differently at another
     batch size."""
     D = (plan.inc.T @ d[0]).transpose(3, 2, 1, 0)  # (B, bus, P/Q row, theta/V column)
     far = d[1].transpose(3, 2, 1, 0)
-    n, m = len(plan.pos), len(plan.ns)
-    out = []
+    n, out = F.shape[1], []
     for b in range(F.shape[-1]):
-        rhs = np.zeros((2, n))
-        rhs[:, plan.ns] = -F[:, b].reshape(2, m)
-        x = _eliminate(plan.chain, D[b].reshape(n, 4).tolist(), far[b].reshape(-1, 4).tolist(), rhs.tolist(),
-                       transpose)
-        out.append(None if x is None else np.array(x)[:, plan.ns].ravel())
+        x = _eliminate(plan.chain, D[b].reshape(n, 4).tolist(), far[b].reshape(-1, 4).tolist(),
+                       (-F[..., b]).tolist(), transpose)
+        out.append(None if x is None else np.array(x))
     return out
 
 
-def transposed_row_steps(plan, d, F):
-    """The steps solving ``J.T dx = -F`` by one _eliminate over (B,) rows, fed as _tree_solve
-    feeds it."""
-    n, m, B = len(plan.pos), len(plan.ns), F.shape[-1]
+def transposed_row_steps(nf, d, F):
+    """The steps (2, n, B) solving ``J.T dx = -F`` by one _eliminate over (B,) rows, fed as
+    _tree_solve feeds it."""
+    plan, ns = nf.plan, non_slack(nf)
     diag, far = (list(zip(a[0, 0], a[1, 0], a[0, 1], a[1, 1])) for a in (plan.inc.T @ d[0], d[1]))
-    r = np.zeros((2, n, B))
-    r[:, plan.ns] = -F.reshape(2, m, B)
-    x = _eliminate(plan.chain, diag, far, [list(r[0]), list(r[1])], transpose=True)
-    return np.array([z[k] for z in x for k in plan.ns])
+    x = _eliminate(plan.chain, diag, far, [list(r) for r in -F], transpose=True)
+    dx = np.zeros_like(F)
+    dx[:, ns] = [[z[k] for k in ns] for z in x]
+    return dx
 
 
 def elimination_case(case):
@@ -832,23 +849,27 @@ def test_scalar_elimination_is_bit_identical_to_the_batched_one(case):
     d, F = tree_case(nf, rng)
     dx, singular = _tree_solve(nf.plan, d, F)
     assert not singular.any()
+    one, _ = _chain_step(nf.plan, d[..., :1], F[..., :1])
+    slack = np.concatenate((dx[:, nf.slack], one[:, nf.slack]), axis=None)
+    assert slack.tobytes() == np.zeros_like(slack).tobytes()  # the rows and floats both step it by 0.0
     for b, x in enumerate(scalar_steps(nf.plan, d, F)):
-        assert x.tobytes() == dx[:, b].tobytes()
-    dx = transposed_row_steps(nf.plan, d, F)
+        assert x.tobytes() == dx[..., b].tobytes()
+    dx = transposed_row_steps(nf, d, F)
     for b, x in enumerate(scalar_steps(nf.plan, d, F, transpose=True)):
-        assert x.tobytes() == dx[:, b].tobytes()
+        assert x.tobytes() == dx[..., b].tobytes()
 
 
 def test_scalar_elimination_flags_the_same_singular_points():
     # the x-only link at theta = 0: V = 0.5 makes the only pivot exactly singular
     nf = mk(2, 0, [(0, 1, 0.0, 0.1)], [1])
     v = np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 0.7]])
-    d, F = _flow_partials(nf.plan, _ends(nf.plan, v, np.zeros((2, 3)))), np.ones((2, 3))
+    d, F = _flow_partials(nf.plan, _ends(nf.plan, v, np.zeros((2, 3)))), np.ones((2, 2, 3))
+    F[:, nf.slack] = 0.0
     with np.errstate(all="ignore"):
         dx, singular = _tree_solve(nf.plan, d, F)
     x = scalar_steps(nf.plan, d, F)
     assert singular.tolist() == [False, True, False] and x[1] is None
-    assert x[0].tobytes() == dx[:, 0].tobytes() and x[2].tobytes() == dx[:, 2].tobytes()
+    assert x[0].tobytes() == dx[..., 0].tobytes() and x[2].tobytes() == dx[..., 2].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -868,16 +889,16 @@ def test_row_elimination_flags_exactly_the_singular_points(seed):
     v[3, at3], theta[3, at3] = v[2, at3] / 2, theta[2, at3]
     v[5, at5], theta[5, at5] = v[4, at5] / 2, theta[4, at5]
     d = _flow_partials(nf.plan, _ends(nf.plan, v, theta))
-    F = rng.normal(size=(2 * len(nf.plan.ns), B))
+    F = random_mismatch(nf, rng, B)
     with np.errstate(all="ignore"):
         dx, singular = _tree_solve(nf.plan, d, F)
     x = scalar_steps(nf.plan, d, F)
     assert singular.tolist() == [p is None for p in x] == (at3 | at5).tolist()
-    assert (dx[:, singular] == 0.0).all()
+    assert (dx[..., singular] == 0.0).all()
     regular = ~singular
-    alone, none = _tree_solve(nf.plan, np.ascontiguousarray(d[..., regular]), F[:, regular])
-    assert not none.any() and dx[:, regular].tobytes() == alone.tobytes()
-    assert all(p.tobytes() == dx[:, b].tobytes() for b, p in enumerate(x) if p is not None)
+    alone, none = _tree_solve(nf.plan, np.ascontiguousarray(d[..., regular]), F[..., regular])
+    assert not none.any() and dx[..., regular].tobytes() == alone.tobytes()
+    assert all(p.tobytes() == dx[..., b].tobytes() for b, p in enumerate(x) if p is not None)
 
 
 def breadth_first(nf):
@@ -921,17 +942,17 @@ def test_plan_chain_puts_each_bus_after_its_children(seed, n):
 @pytest.mark.parametrize("case", [*(f"tree{s}" for s in range(5)), "branched-30"])
 def test_transposed_scalar_elimination_solves_the_transposed_jacobian(case):
     nf, rng = elimination_case(case)
-    plan, n, m = nf.plan, nf.n_bus, len(nf.plan.ns)
+    plan, n, ns = nf.plan, nf.n_bus, non_slack(nf)
     v, theta = rng.uniform(0.9, 1.1, size=(n, 1)), rng.uniform(-0.1, 0.1, size=(n, 1))
-    d, F = _flow_partials(plan, _ends(plan, v, theta)), rng.normal(size=(2 * m, 1))
+    d, F = _flow_partials(plan, _ends(plan, v, theta)), rng.normal(size=(2 * len(ns), 1))
     J = loop_jacobian(nf, v[:, 0], theta[:, 0])
     rhs = np.zeros((2, n))
-    rhs[:, plan.ns] = F[:, 0].reshape(2, m)
+    rhs[:, ns] = F[:, 0].reshape(2, len(ns))
     diag = (plan.inc.T @ d[0]).transpose(2, 1, 0, 3).reshape(n, 4).tolist()
     x = _eliminate(plan.chain, diag, d[1].transpose(2, 1, 0, 3).reshape(-1, 4).tolist(), rhs.tolist(),
                    transpose=True)
     want = np.linalg.solve(J.T, F[:, 0])
-    np.testing.assert_allclose(np.array(x)[:, plan.ns].ravel(), want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(np.array(x)[:, ns].ravel(), want, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("test", [

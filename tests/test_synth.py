@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from fairhc.errors import ValidationError
@@ -20,6 +21,14 @@ class TestSpecValidation:
             SynthSpec(n_loads=0, layout="linear", trunk_len_m=100.0)
         with pytest.raises(ValidationError):
             SynthSpec(n_loads=3, layout="linear", trunk_len_m=0.0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0])
+    def test_non_integer_count_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^synth spec: n_loads must be an integer$"):
+            SynthSpec(bad, "linear", 100.0)
+
+    def test_numpy_integer_count_accepted(self):
+        assert feeder_stats(generate_feeder(SynthSpec(np.int64(3), "linear", 100.0))).n_loads == 3
 
     def test_bad_conductor(self):
         with pytest.raises(ValidationError):
@@ -86,6 +95,14 @@ class TestTopologyExperiment:
         with pytest.raises(ValidationError):
             topology_experiment(lin, SynthSpec(n_loads=4, layout="branched",
                                                trunk_len_m=180.0))
+
+    @pytest.mark.parametrize("name, value", [("conductor", STRONG), ("load_p_kw", 5.0), ("load_q_kvar", 1.0),
+                                             ("dg_cap_kw", 60.0)])
+    def test_pair_differing_beyond_layout_and_lengths_rejected(self, name, value):
+        lin = SynthSpec(n_loads=3, layout="linear", trunk_len_m=300.0)
+        bra = dataclasses.replace(SynthSpec(n_loads=3, layout="branched", trunk_len_m=210.0), **{name: value})
+        with pytest.raises(ValidationError, match=f"^specs must have equal {name}$"):
+            topology_experiment(lin, bra)
 
     def test_matched_pair_report(self):
         lin = SynthSpec(n_loads=3, layout="linear", trunk_len_m=150.0,
